@@ -20,6 +20,15 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .lfsr import WIDTH, Lfsr
 
+# longest stream the unit cell's counter takes; every entry point checks it
+MAX_SEQ_LEN = 2048
+
+
+def check_seq_len(seq_len: int) -> None:
+    """Reject a stream length outside [1, MAX_SEQ_LEN] with DomainError."""
+    if not 1 <= seq_len <= MAX_SEQ_LEN:
+        raise DomainError(f"seq_len must be in [1, {MAX_SEQ_LEN}], got {seq_len}")
+
 
 @dataclass(frozen=True)
 class StochasticSequence:
@@ -98,8 +107,7 @@ def encode(x: float, exponent: int, rng: Lfsr, seq_len: int) -> StochasticSequen
     Always consumes exactly seq_len draws, including for x = 0: the
     comparator runs every cycle even when the answer is known.
     """
-    if seq_len < 1:
-        raise DomainError("seq_len must be at least 1")
+    check_seq_len(seq_len)
     return encode_with_words(x, exponent, rng.next_words(seq_len))
 
 

@@ -8,6 +8,18 @@ delta_j and x_i, so a full N_D x N_X matrix costs 2 * seq_len draws total.
 A job whose x or delta is all zeros short-circuits to the zero matrix and
 draws nothing.
 
+Single jobs and batches share one cell-array core, a single job being a
+batch of one. It works as the unit cells do:
+
+* count: each row of stream bits is packed into machine words (np.packbits;
+  one uint8/16/32/64 word when the row fills 1, 2, 4 or 8 bytes, else
+  zero-padded to whole uint64 words). Entry (j, i) counts popcount(d_j & x_i)
+  summed over the words, in uint16 (counts <= 2048).
+* pack: each job's scale exponent fixes a (2, seq_len + 1) binary16 table,
+  the packed output for every sign and every count 0..seq_len; an entry is
+  the table value at its XOR sign and its count. Count 0 packs +0 for
+  either sign.
+
 apply_update folds the matrix into weights with momentum, every arithmetic
 step rounded to binary16.
 """
@@ -19,11 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import encode_matrix, vector_exponent
+from .encoder import check_seq_len, encode_matrix, vector_exponent
 from .errors import ContractError, DomainError
 from .fp16 import MAX_FINITE, PowerOfTwoScale
 from .lfsr import Lfsr, word_matrix
-from .unit_cell import MAX_SEQ_LEN, f_scale, f_scale_with_lr
+from .unit_cell import f_scale, f_scale_with_lr
 
 # fallback when seed derivation lands on the absorbing state
 _SEED_FALLBACK = 0x5EED
@@ -55,8 +67,7 @@ class OuterProductJob:
                 raise DomainError(f"{name} must be a nonempty vector")
             if not np.all(np.isfinite(vec)):
                 raise DomainError(f"{name} entries must be finite")
-        if not 1 <= self.seq_len <= MAX_SEQ_LEN:
-            raise DomainError(f"seq_len must be in [1, {MAX_SEQ_LEN}]")
+        check_seq_len(self.seq_len)
         _check_seed_word(self.seed_x, "seed_x")
         _check_seed_word(self.seed_delta, "seed_delta")
         if self.seed_x == self.seed_delta:
@@ -82,13 +93,69 @@ class UpdateMatrix:
         return self.entries.shape[1]
 
 
-def _entries_from_counts(counts: np.ndarray, signs: np.ndarray, exponent) -> np.ndarray:
-    """counts * 2^exponent with XOR signs, rounded/saturated to binary16."""
-    mag = np.ldexp(counts.astype(np.float64), exponent)
+# packed byte width of a stream row -> the one machine word that holds it
+_WORD_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _stream_words(bits: np.ndarray) -> np.ndarray:
+    """(B, n, M) bool streams -> (W, B, n) machine words, word axis first.
+
+    Rows are zero-padded to whole words and packed as one flat run; packing
+    along a short last axis was 14x (32 x 16 x 16) to 58x (1000 x 64 x 16)
+    slower.
+    """
+    seq_len = bits.shape[-1]
+    word = _WORD_DTYPES.get(-(-seq_len // 8), np.uint64)
+    word_bits = 8 * np.dtype(word).itemsize
+    width = -(-seq_len // word_bits) * word_bits
+    if width != seq_len:
+        padded = np.zeros(bits.shape[:-1] + (width,), dtype=bool)
+        padded[..., :seq_len] = bits
+        bits = padded
+    words = np.packbits(bits.reshape(-1)).view(word).reshape(bits.shape[:-1] + (-1,))
+    return np.ascontiguousarray(words.transpose(2, 0, 1))
+
+
+def _cell_array(bits_d, neg_d, bits_x, neg_x, exponents) -> np.ndarray:
+    """B jobs' unit cells: (B, n_d, M) and (B, n_x, M) streams -> (B, n_d, n_x) binary16.
+
+    neg_d and neg_x are the operands' sign bits, exponents the (B,) scale
+    exponents. The count is AND + popcount over packed words; the pack
+    gathers from each job's table of every (sign, count) output.
+    """
+    words_d = _stream_words(bits_d)
+    words_x = _stream_words(bits_x)
+    shape = words_d.shape[1:] + words_x.shape[-1:]
+    both = np.empty(shape, dtype=words_d.dtype)
+    ones = np.empty(shape, dtype=np.uint8)
+    np.bitwise_and(words_d[0][:, :, None], words_x[0][:, None, :], out=both)
+    counts = np.bitwise_count(both, out=np.empty(shape, dtype=np.uint16))
+    for wd, wx in zip(words_d[1:], words_x[1:]):
+        np.bitwise_and(wd[:, :, None], wx[:, None, :], out=both)
+        counts += np.bitwise_count(both, out=ones)
+
+    seq_len = bits_d.shape[-1]
+    table = _pack_table(seq_len, exponents)
+    index = np.bitwise_xor(neg_d[:, :, None], neg_x[:, None, :])
+    index = index + np.arange(0, 2 * shape[0], 2)[:, None, None]  # row b * 2 + sign
+    index *= seq_len + 1
+    index += counts
+    return np.take(table.reshape(-1), index)
+
+
+def _pack_table(seq_len: int, exponents) -> np.ndarray:
+    """(B, 2, seq_len + 1) binary16: [b, sign, count] is the cell output at scale 2^exponents[b].
+
+    The binary16 cast rounds to nearest even, as shift_pack does; negating
+    a rounded value equals rounding the negated one.
+    """
+    mag = np.ldexp(np.arange(seq_len + 1.0), np.asarray(exponents)[:, None])
     np.minimum(mag, MAX_FINITE, out=mag)  # the output register latches at max finite
-    vals = np.where(signs, -mag, mag)
-    vals = np.where(counts == 0, 0.0, vals)  # empty overlap packs +0 either sign
-    return vals.astype(np.float16)
+    table = np.empty((mag.shape[0], 2, seq_len + 1), dtype=np.float16)
+    table[:, 0] = mag
+    np.negative(table[:, 0], out=table[:, 1])
+    table[:, 1, 0] = 0  # empty overlap packs +0 either sign
+    return table
 
 
 def outer_product(job: OuterProductJob) -> UpdateMatrix:
@@ -108,9 +175,9 @@ def outer_product(job: OuterProductJob) -> UpdateMatrix:
     else:
         scale = f_scale_with_lr(job.lr, ex.exponent, ed.exponent, job.seq_len)
 
-    counts = bits_d.astype(np.int32) @ bits_x.astype(np.int32).T
-    signs = sign_d[:, None] ^ sign_x[None, :]
-    entries = _entries_from_counts(counts, signs, scale.exponent)
+    entries = _cell_array(
+        bits_d[None], sign_d[None], bits_x[None], sign_x[None], [scale.exponent]
+    )[0]
     return UpdateMatrix(entries, rng_x.draws + rng_d.draws, scale)
 
 
@@ -133,8 +200,9 @@ def outer_product_many(
     deltas = np.asarray(deltas, dtype=np.float16)
     if xs.ndim != 2 or deltas.ndim != 2 or xs.shape[0] != deltas.shape[0]:
         raise ContractError("xs and deltas must be 2-D with matching batch size")
-    if not 1 <= seq_len <= MAX_SEQ_LEN:
-        raise DomainError(f"seq_len must be in [1, {MAX_SEQ_LEN}]")
+    if not (np.isfinite(xs).all() and np.isfinite(deltas).all()):
+        raise DomainError("xs and deltas entries must be finite")
+    check_seq_len(seq_len)
     seeds_x = np.asarray(seeds_x, dtype=np.uint16)
     seeds_delta = np.asarray(seeds_delta, dtype=np.uint16)
     if np.any(seeds_x == 0) or np.any(seeds_delta == 0):
@@ -169,11 +237,6 @@ def outer_product_many(
     bits_d = np.abs(da)[:, :, None] >= np.ldexp(words_d, e_d[:, None] - 16)[:, None, :]
     bits_d &= (da != 0.0)[:, :, None]
 
-    counts = np.einsum(
-        "bjk,bik->bji", bits_d.astype(np.int32), bits_x.astype(np.int32)
-    )
-    signs = (da < 0)[:, :, None] ^ (xa < 0)[:, None, :]
-
     if lr is None and seq_len & (seq_len - 1) == 0:
         exps = e_x + e_d - (seq_len.bit_length() - 1)
     else:
@@ -186,7 +249,7 @@ def outer_product_many(
             dtype=np.int64,
         )
 
-    entries[active] = _entries_from_counts(counts, signs, exps[:, None, None])
+    entries[active] = _cell_array(bits_d, da < 0, bits_x, xa < 0, exps)
     draws = 2 * seq_len * int(np.sum(active))
     return entries, draws
 

@@ -68,17 +68,25 @@ def read_vector(path: str) -> np.ndarray:
     return _read_csv_vector(path)
 
 
+def _csv_lines(path: str):
+    """(line number, stripped text) of each nonblank line of a UTF-8 text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _read_csv_vector(path: str) -> np.ndarray:
     values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in _csv_lines(path):
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from exc
     if not values:
         raise DomainError(f"{path}: no values")
     return np.asarray(values, dtype=np.float16)
@@ -121,20 +129,16 @@ def read_matrix(path: str) -> np.ndarray:
 def _read_csv_matrix(path: str) -> np.ndarray:
     rows = []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DomainError(f"{path}:{lineno}: ragged row")
-            rows.append(row)
+    for lineno, line in _csv_lines(path):
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DomainError(f"{path}:{lineno}: ragged row")
+        rows.append(row)
     if not rows:
         raise DomainError(f"{path}: no values")
     return np.asarray(rows, dtype=np.float16)

@@ -22,10 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .encoder import probability_of
+from .encoder import check_seq_len, probability_of
 from .engine import derive_seed_pairs, outer_product_many
 from .errors import DomainError
-from .unit_cell import MAX_SEQ_LEN, f_scale, f_scale_with_lr
+from .unit_cell import f_scale, f_scale_with_lr
 
 
 def exact_outer(x, delta) -> np.ndarray:
@@ -148,8 +148,7 @@ def enumerate_unit_cell(
     exact moments of the emitted value. Feasible only for tiny spaces;
     2 * seq_len * word_bits bits of state are enumerated.
     """
-    if not 1 <= seq_len <= MAX_SEQ_LEN:
-        raise DomainError(f"seq_len must be in [1, {MAX_SEQ_LEN}]")
+    check_seq_len(seq_len)
     if word_bits < 1 or 2 * seq_len * word_bits > 20:
         raise DomainError("word space too large to enumerate")
     space = 1 << word_bits

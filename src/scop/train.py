@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset, generate_two_moons, load_digits_csv
+from .encoder import MAX_SEQ_LEN
 from .engine import apply_update, derive_seed_pairs, outer_product_many
 from .errors import DomainError
 
@@ -38,8 +39,10 @@ def parse_mode(mode: str) -> tuple[str, int | None]:
     m = _MODE_RE.match(mode)
     if m:
         seq_len = int(m.group(1))
-        if seq_len < 1:
-            raise DomainError("mode: stream length must be at least 1")
+        if not 1 <= seq_len <= MAX_SEQ_LEN:
+            raise DomainError(
+                f"mode: stream length must be in [1, {MAX_SEQ_LEN}], got {seq_len}"
+            )
         return "stochastic", seq_len
     raise DomainError(f"mode: expected 'exact' or 'stochastic(M)', got {mode!r}")
 
@@ -239,9 +242,15 @@ def train(config: TrainingConfig) -> RunMetrics:
                         base_x, base_d, job_counter + np.arange(b)
                     )
                     job_counter += b
-                    entries, _ = outer_product_many(
-                        a_in, d_out, seq_len, sx, sd, lr if folded else None
-                    )
+                    try:
+                        entries, _ = outer_product_many(
+                            a_in, d_out, seq_len, sx, sd, lr if folded else None
+                        )
+                    except DomainError:
+                        # seq_len, seeds and lr are valid by construction, so
+                        # a layer operand overflowed to inf or NaN
+                        metrics.diverged = True
+                        break
                     total = np.sum(entries, axis=0, dtype=np.float16)
                     grad_w = total * np.float16(1.0 / b)
                 grad_b = d_out.astype(np.float64).mean(axis=0).astype(np.float16)
@@ -254,6 +263,8 @@ def train(config: TrainingConfig) -> RunMetrics:
                     model.biases[layer], grad_b, lr, False,
                     config.momentum, velocities_b[layer],
                 )
+            if metrics.diverged:
+                break
         if metrics.diverged:
             break
         test_acc, _ = evaluate(model, data.x_test, data.y_test)

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ContractError, DomainError
 from .fp16 import MAX_FINITE_BITS, PowerOfTwoScale, decode_bits, floor_pow2
-from .encoder import StochasticSequence
-
-MAX_SEQ_LEN = 2048
+from .encoder import MAX_SEQ_LEN, StochasticSequence, check_seq_len
 
 
 def counter_width(seq_len: int) -> int:
@@ -30,20 +28,15 @@ def counter_width(seq_len: int) -> int:
     return seq_len.bit_length()
 
 
-def _check_seq_len(seq_len: int) -> None:
-    if not 1 <= seq_len <= MAX_SEQ_LEN:
-        raise DomainError(f"seq_len must be in [1, {MAX_SEQ_LEN}], got {seq_len}")
-
-
 def f_scale(e_x: int, e_delta: int, seq_len: int) -> PowerOfTwoScale:
     """floor-pow2 of 2^(e_x + e_delta) / seq_len."""
-    _check_seq_len(seq_len)
+    check_seq_len(seq_len)
     return floor_pow2(math.ldexp(1.0, e_x + e_delta) / seq_len)
 
 
 def f_scale_with_lr(lr: float, e_x: int, e_delta: int, seq_len: int) -> PowerOfTwoScale:
     """Scale with the learning rate folded in before the power-of-two fold."""
-    _check_seq_len(seq_len)
+    check_seq_len(seq_len)
     if not (math.isfinite(lr) and lr > 0):
         raise DomainError("lr must be finite and positive")
     return floor_pow2(math.ldexp(lr, e_x + e_delta) / seq_len)
@@ -126,7 +119,7 @@ def unit_cell_multiply(
         raise ContractError(
             f"sequence length mismatch: {a.seq_len} vs {b.seq_len}"
         )
-    _check_seq_len(a.seq_len)
+    check_seq_len(a.seq_len)
     count = (a.bits & b.bits).bit_count()
     sign = a.sign ^ b.sign
     packed = shift_pack(sign, count, scale)

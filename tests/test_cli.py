@@ -66,6 +66,13 @@ def test_encode_out_of_range_exit_2():
     assert r.returncode == 2
 
 
+def test_encode_seq_len_above_cell_bound_exit_2():
+    r = run_cli("encode", "--value", "0.5", "--seq-len", "5000", "--seed", "ACE1")
+    assert r.returncode == 2
+    assert "seq_len" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_mul_example():
     r = run_cli(
         "mul", "--a-bits", "c", "--a-sign", "0", "--b-bits", "a",
@@ -152,6 +159,20 @@ def test_outer_missing_file_exit_2(tmp_path):
         "--out", str(tmp_path / "u.bin"),
     )
     assert r.returncode == 2
+
+
+def test_outer_non_utf8_csv_exit_2(vectors, tmp_path):
+    _, dp = vectors
+    xp = tmp_path / "x.csv"
+    xp.write_bytes(b"0.5\n\xff\xfe0.25\n")
+    r = run_cli(
+        "outer", "--x", str(xp), "--delta", dp, "--seq-len", "16",
+        "--seed-x", "ACE1", "--seed-delta", "1234",
+        "--out", str(tmp_path / "u.bin"),
+    )
+    assert r.returncode == 2
+    assert str(xp) in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_stats_report(vectors, tmp_path):

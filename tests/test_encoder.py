@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import scop.encoder as encoder_module
 from scop.errors import DomainError
 from scop.encoder import (
+    MAX_SEQ_LEN,
     StochasticSequence,
     encode,
     encode_matrix,
@@ -82,6 +83,15 @@ def test_out_of_range_rejected():
         encode(-0.51, -1, Lfsr(0xACE1), 8)
     with pytest.raises(DomainError):
         encode(math.nan, 0, Lfsr(0xACE1), 8)
+
+
+def test_stream_length_bound():
+    assert encode(0.5, 0, Lfsr(0xACE1), MAX_SEQ_LEN).seq_len == MAX_SEQ_LEN
+    for bad in (0, MAX_SEQ_LEN + 1, 5000):
+        rng = Lfsr(0xACE1)
+        with pytest.raises(DomainError):
+            encode(0.5, 0, rng, bad)
+        assert rng.draws == 0  # rejected before drawing
 
 
 def test_boundary_value_is_in_range():

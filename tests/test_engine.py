@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scop.encoder import encode_with_words, vector_exponent
 from scop.engine import (
@@ -17,11 +18,18 @@ from scop.engine import (
     derive_seed_pairs,
     outer_product,
     outer_product_many,
+    _pack_table,
 )
 from scop.errors import ContractError, DomainError
-from scop.fp16 import PowerOfTwoScale
+from scop.fp16 import MAX_FINITE, PowerOfTwoScale
 from scop.lfsr import Lfsr
-from scop.unit_cell import unit_cell_multiply, f_scale
+from scop.unit_cell import (
+    MAX_SEQ_LEN,
+    f_scale,
+    f_scale_with_lr,
+    shift_pack,
+    unit_cell_multiply,
+)
 
 
 def test_golden_job():
@@ -173,6 +181,21 @@ def test_batch_validation():
         outer_product_many(xs, xs, 16, np.array([0, 2]), np.array([3, 4]))
 
 
+@pytest.mark.parametrize(
+    "x, d",
+    [
+        ([[math.nan, 0.5]], [[0.5]]),  # once a silent zero update
+        ([[0.5, math.inf]], [[0.5]]),  # once finite garbage, [0.2812, 0.5]
+        ([[0.5]], [[-math.inf]]),
+        ([[0.5], [0.25]], [[0.5], [math.nan]]),  # one bad job in a batch
+    ],
+)
+def test_batch_rejects_non_finite_operands(x, d):
+    seeds = np.arange(1, len(x) + 1)
+    with pytest.raises(DomainError, match="finite"):
+        outer_product_many(np.array(x), np.array(d), 16, seeds, seeds + 100)
+
+
 def test_apply_update_plain_sgd():
     w = np.array([[1.0, -1.0]], dtype=np.float16)
     g = np.array([[0.5, 0.5]], dtype=np.float16)
@@ -276,3 +299,81 @@ def test_conv_weight_update_validation():
 def test_derive_seed_always_valid(counter, base):
     s = derive_seed(base, counter)
     assert 0 < s <= 0xFFFF
+
+
+# Stream lengths around every machine-word edge of the packed count: rows of
+# 1, 2 and 8 bytes are one word as they stand, rows of 3 and 9 bytes are
+# zero-padded to uint64 words, 2048 events fill 32 uint64 words.
+_WORD_EDGE_LENS = (1, 7, 8, 9, 16, 24, 63, 64, 65, MAX_SEQ_LEN)
+_EDGE_VALUES = (0.0, -0.0, 2.0**-24, -(2.0**-24), 2.0**-14, MAX_FINITE, -MAX_FINITE)
+_operands = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(-MAX_FINITE, MAX_FINITE, width=16),
+)
+_lrs = st.one_of(st.none(), st.sampled_from((0.1, 1e-3, 1e-6, 3.0)))
+
+
+def _scalar_job(x, d, seq_len, seed_x, seed_d, lr):
+    """Reference job output bits, cell by cell through the scalar datapath."""
+    ex = vector_exponent(x)
+    ed = vector_exponent(d)
+    if ex.is_zero_vector or ed.is_zero_vector:
+        return np.zeros((d.size, x.size), dtype=np.uint16)
+    if lr is None:
+        scale = f_scale(ex.exponent, ed.exponent, seq_len)
+    else:
+        scale = f_scale_with_lr(lr, ex.exponent, ed.exponent, seq_len)
+    words_x = Lfsr(seed_x).next_words(seq_len)
+    words_d = Lfsr(seed_d).next_words(seq_len)
+    seqs_x = [encode_with_words(float(v), ex.exponent, words_x) for v in x]
+    seqs_d = [encode_with_words(float(v), ed.exponent, words_d) for v in d]
+    return np.array(
+        [[unit_cell_multiply(a, b, scale).bits for a in seqs_x] for b in seqs_d],
+        dtype=np.uint16,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=arrays(np.float16, st.integers(1, 6), elements=_operands),
+    d=arrays(np.float16, st.integers(1, 6), elements=_operands),
+    seq_len=st.sampled_from(_WORD_EDGE_LENS),
+    seeds=st.tuples(st.integers(1, 0xFFFF), st.integers(1, 0xFFFF)).filter(
+        lambda s: s[0] != s[1]
+    ),
+    lr=_lrs,
+)
+def test_job_matches_scalar_cells(x, d, seq_len, seeds, lr):
+    out = outer_product(OuterProductJob(x, d, seq_len, *seeds, lr))
+    assert np.array_equal(out.entries.view(np.uint16), _scalar_job(x, d, seq_len, *seeds, lr))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
+    seq_len=st.sampled_from(_WORD_EDGE_LENS),
+    counter=st.integers(0, 2**32),
+    lr=_lrs,
+    data=st.data(),
+)
+def test_batch_matches_scalar_cells(shape, seq_len, counter, lr, data):
+    b, n_x, n_d = shape
+    xs = data.draw(arrays(np.float16, (b, n_x), elements=_operands))
+    ds = data.draw(arrays(np.float16, (b, n_d), elements=_operands))
+    sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, counter + np.arange(b))
+    entries, _ = outer_product_many(xs, ds, seq_len, sx, sd, lr)
+    for k in range(b):
+        ref = _scalar_job(xs[k], ds[k], seq_len, int(sx[k]), int(sd[k]), lr)
+        assert np.array_equal(entries[k].view(np.uint16), ref), k
+
+
+def test_pack_table_matches_shift_pack():
+    """Every count 0..MAX_SEQ_LEN, both signs, scale exponents -40..+20."""
+    exponents = np.arange(-40, 21)
+    table = _pack_table(MAX_SEQ_LEN, exponents).view(np.uint16)
+    assert table.shape == (exponents.size, 2, MAX_SEQ_LEN + 1)
+    for b, e in enumerate(exponents):
+        scale = PowerOfTwoScale(int(e))
+        for sign in (0, 1):
+            ref = [shift_pack(sign, c, scale).bits for c in range(MAX_SEQ_LEN + 1)]
+            assert table[b, sign].tolist() == ref, (int(e), sign)

@@ -95,6 +95,15 @@ def test_bad_csv_rejected(tmp_path):
     assert ":2" in str(err.value)  # error names the line
 
 
+@pytest.mark.parametrize("reader", [read_vector, read_matrix])
+def test_non_utf8_csv_rejected(tmp_path, reader):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1.0\n\xff\xfe\n")
+    with pytest.raises(DomainError) as err:
+        reader(str(path))
+    assert str(path) in str(err.value)  # error names the file
+
+
 def test_ragged_csv_matrix_rejected(tmp_path):
     path = str(tmp_path / "m.csv")
     open(path, "w").write("1.0,2.0\n3.0\n")

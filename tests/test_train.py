@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import scop.train as train_module
 from scop.errors import DomainError
 from scop.train import (
     Mlp,
@@ -16,15 +17,24 @@ from scop.train import (
     train,
     write_metrics_csv,
 )
+from scop.unit_cell import MAX_SEQ_LEN
 
 
 def test_parse_mode():
     assert parse_mode("exact") == ("exact", None)
     assert parse_mode("stochastic(16)") == ("stochastic", 16)
     assert parse_mode("stochastic(2)") == ("stochastic", 2)
-    for bad in ("Stochastic(16)", "stochastic(0)", "stochastic()", "sc16", ""):
+    assert parse_mode(f"stochastic({MAX_SEQ_LEN})") == ("stochastic", MAX_SEQ_LEN)
+    for bad in ("Stochastic(16)", "stochastic(0)", "stochastic()", "sc16", "",
+                f"stochastic({MAX_SEQ_LEN + 1})"):
         with pytest.raises(DomainError):
             parse_mode(bad)
+
+
+def test_config_rejects_stream_longer_than_the_cell_takes():
+    with pytest.raises(DomainError) as err:
+        TrainingConfig(mode="stochastic(4096)")  # once accepted, then failed in training
+    assert "mode" in str(err.value)
 
 
 def test_config_validation_names_fields():
@@ -173,3 +183,34 @@ def test_metrics_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert all(float(v) >= 0 for v in first[1:])
+
+
+class _OverflowingBackward(Mlp):
+    """A net whose forward pass stays finite but whose backward overflows.
+
+    Every hidden unit but one is dead. The live one carries 2^-11 into
+    output weights +-40960, so the logits are (+20, -20) and class 0 is
+    certain. A label-1 sample's output error (1, -1) then sends back
+    2 * 40960 to the live unit, past binary16's 65504: inf.
+    """
+
+    def __init__(self, topology, seed_init):
+        super().__init__(topology, seed_init)
+        self.weights[0][:] = 0
+        self.biases[0][:] = 0
+        self.biases[0][0] = 2.0**-11
+        self.weights[1][:] = 0
+        self.weights[1][:, 0] = (40960, -40960)
+
+
+@pytest.mark.parametrize("mode", ["exact", "stochastic(16)"])
+def test_non_finite_layer_error_ends_fit_diverged(monkeypatch, mode):
+    model = _OverflowingBackward((2, 8, 2), seed_init=6)
+    acts, zs = model.forward(np.array([[0.5, 0.5]], dtype=np.float16))
+    assert np.isfinite(acts[-1]).all()
+    deltas = model.backward(zs, np.array([[1.0, -1.0]], dtype=np.float16))
+    assert not np.isfinite(deltas[0]).all()
+
+    monkeypatch.setattr(train_module, "Mlp", _OverflowingBackward)
+    metrics = train(_tiny(mode))
+    assert metrics.diverged
