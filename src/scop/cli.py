@@ -34,19 +34,11 @@ EXIT_INPUT = 2
 EXIT_CONTRACT = 3
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a hex word, got {text!r}")
-    return value
-
-
-def _bits(text: str) -> int:
+def _hex(text: str) -> int:
     try:
         return int(text, 16)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected hex bits, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a hex number, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,14 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lfsr", help="emit pseudo-random words")
-    p.add_argument("--seed", type=_seed, required=True, help="hex, nonzero")
+    p.add_argument("--seed", type=_hex, required=True, help="hex, nonzero")
     p.add_argument("--count", type=int, required=True)
     p.set_defaults(func=cmd_lfsr)
 
     p = sub.add_parser("encode", help="encode one value as a bitstream")
     p.add_argument("--value", type=float, required=True)
     p.add_argument("--seq-len", type=int, required=True)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=_hex, required=True)
     p.add_argument(
         "--exponent",
         type=int,
@@ -74,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("mul", help="multiply two packed bitstreams")
-    p.add_argument("--a-bits", type=_bits, required=True)
+    p.add_argument("--a-bits", type=_hex, required=True)
     p.add_argument("--a-sign", type=int, choices=(0, 1), default=0)
-    p.add_argument("--b-bits", type=_bits, required=True)
+    p.add_argument("--b-bits", type=_hex, required=True)
     p.add_argument("--b-sign", type=int, choices=(0, 1), default=0)
     p.add_argument("--seq-len", type=int, required=True)
     p.add_argument("--scale-exp", type=int, required=True)
@@ -86,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="vector file (bin or csv)")
     p.add_argument("--delta", required=True)
     p.add_argument("--seq-len", type=int, required=True)
-    p.add_argument("--seed-x", type=_seed, required=True)
-    p.add_argument("--seed-delta", type=_seed, required=True)
+    p.add_argument("--seed-x", type=_hex, required=True)
+    p.add_argument("--seed-delta", type=_hex, required=True)
     p.add_argument("--lr", type=float, default=None, help="fold into the scale")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
@@ -98,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--seq-len", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed-x", type=_seed, default=0xACE1)
-    p.add_argument("--seed-delta", type=_seed, default=0x2C9F)
+    p.add_argument("--seed-x", type=_hex, default=0xACE1)
+    p.add_argument("--seed-delta", type=_hex, default=0x2C9F)
     p.add_argument("--report", required=True, help="JSON output path")
     p.set_defaults(func=cmd_stats)
 
@@ -237,10 +229,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ContractError as exc:

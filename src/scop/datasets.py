@@ -7,12 +7,12 @@ quantizes to binary16 at its own boundary.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .formats import csv_lines
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,21 @@ def load_digits_csv(path: str, seed: int = 0) -> Dataset:
     """
     rows = []
     labels = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) != 65:
-                raise DomainError(
-                    f"{path}:{lineno}: expected 65 columns, got {len(row)}"
-                )
-            try:
-                pixels = [float(v) for v in row[:64]]
-                label = int(row[64])
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from exc
-            if not 0 <= label <= 9:
-                raise DomainError(f"{path}:{lineno}: label {label} out of range")
-            rows.append(pixels)
-            labels.append(label)
+    for lineno, line in csv_lines(path):
+        row = line.split(",")
+        if len(row) != 65:
+            raise DomainError(
+                f"{path}:{lineno}: expected 65 columns, got {len(row)}"
+            )
+        try:
+            pixels = [float(v) for v in row[:64]]
+            label = int(row[64])
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from exc
+        if not 0 <= label <= 9:
+            raise DomainError(f"{path}:{lineno}: label {label} out of range")
+        rows.append(pixels)
+        labels.append(label)
     if len(rows) < 4:
         raise DomainError("need at least 4 rows")
     features = np.asarray(rows, dtype=np.float64) / 16.0

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
+from .fp16 import exponent_ceil
 from .lfsr import WIDTH, Lfsr
 
 # longest stream the unit cell's counter takes; every entry point checks it
@@ -74,10 +75,7 @@ def vector_exponent(values) -> VectorExponent:
     peak = float(np.max(np.abs(arr)))
     if peak == 0.0:
         return VectorExponent(0, True)
-    frac, exp = math.frexp(peak)  # peak = frac * 2^exp, frac in [0.5, 1)
-    if frac == 0.5:
-        exp -= 1
-    return VectorExponent(exp, False)
+    return VectorExponent(exponent_ceil(peak), False)
 
 
 def threshold(word: int, exponent: int) -> float:
@@ -117,24 +115,27 @@ def probability_of(x: float, exponent: int) -> float:
     return math.ldexp(abs(x), -exponent)
 
 
-def encode_matrix(values: np.ndarray, exponent: int, words: np.ndarray):
-    """Encode a whole vector against one shared word sequence.
+def encode_matrix(values: np.ndarray, exponent, words: np.ndarray):
+    """Encode a whole vector against one shared word sequence, or a batch of them.
 
-    Returns (bits, signs): bits is a (n, seq_len) bool array, signs a (n,)
-    uint8 array. Row i equals encode_with_words(values[i], exponent, words)
-    bit for bit; all rows share the same words, which is the whole point of
+    values is (n,) with an int exponent and (seq_len,) words, or (B, n) with
+    (B,) exponents and (B, seq_len) words. Returns (bits, signs): bits is a
+    (..., n, seq_len) bool array, signs a (..., n) uint8 array. Row i (of job
+    b) equals encode_with_words(values[b, i], exponent[b], words[b]) bit for
+    bit; all rows of a job share the same words, which is the whole point of
     the reuse scheme.
     """
-    vals = np.asarray(values, dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64, order="C")
     w = np.asarray(words, dtype=np.uint16)
-    if vals.ndim != 1 or w.ndim != 1:
-        raise ContractError("values and words must be one-dimensional")
+    if vals.ndim not in (1, 2) or w.shape[:-1] != vals.shape[:-1] or w.ndim != vals.ndim:
+        raise ContractError("values and words must be 1-D, or 2-D with a row per job")
+    exps = np.asarray(exponent)[..., None]
     mags = np.abs(vals)
-    if np.any(mags > math.ldexp(1.0, exponent)):
+    if (mags > np.ldexp(1.0, exps)).any():
         raise DomainError(f"operand exceeds 2^{exponent}")
-    thresholds = np.ldexp(w.astype(np.float64), exponent - WIDTH)
-    bits = mags[:, None] >= thresholds[None, :]
-    bits[vals == 0.0, :] = False
+    thresholds = np.ldexp(w.astype(np.float64), exps - WIDTH)
+    bits = mags[..., :, None] >= thresholds[..., None, :]
+    bits &= (vals != 0.0)[..., None]
     signs = (vals < 0).astype(np.uint8)
     return bits, signs
 

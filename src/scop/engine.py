@@ -8,8 +8,8 @@ delta_j and x_i, so a full N_D x N_X matrix costs 2 * seq_len draws total.
 A job whose x or delta is all zeros short-circuits to the zero matrix and
 draws nothing.
 
-Single jobs and batches share one cell-array core, a single job being a
-batch of one. It works as the unit cells do:
+Single jobs, batches and conv updates share one batched core, a single job
+being a batch of one. It works as the unit cells do:
 
 * count: each row of stream bits is packed into machine words (np.packbits;
   one uint8/16/32/64 word when the row fills 1, 2, 4 or 8 bytes, else
@@ -27,25 +27,19 @@ step rounded to binary16.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import check_seq_len, encode_matrix, vector_exponent
+from .encoder import check_seq_len, encode_matrix
 from .errors import ContractError, DomainError
-from .fp16 import MAX_FINITE, PowerOfTwoScale
-from .lfsr import Lfsr, word_matrix
-from .unit_cell import f_scale, f_scale_with_lr
+from .fp16 import MAX_FINITE, PowerOfTwoScale, ceil_exponents
+from .lfsr import word_matrix
+from .unit_cell import scale_exponents
 
 # fallback when seed derivation lands on the absorbing state
 _SEED_FALLBACK = 0x5EED
 _COUNTER_MASK = (1 << 48) - 1
-_MASK64 = (1 << 64) - 1
-
-
-def _check_seed_word(value: int, name: str) -> None:
-    if not 0 < value <= 0xFFFF:
-        raise DomainError(f"{name} must be a nonzero 16-bit word, got {value!r}")
 
 
 @dataclass
@@ -62,18 +56,38 @@ class OuterProductJob:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float16)
         self.delta = np.asarray(self.delta, dtype=np.float16)
-        for name, vec in (("x", self.x), ("delta", self.delta)):
-            if vec.ndim != 1 or vec.size == 0:
-                raise DomainError(f"{name} must be a nonempty vector")
-            if not np.all(np.isfinite(vec)):
-                raise DomainError(f"{name} entries must be finite")
-        check_seq_len(self.seq_len)
-        _check_seed_word(self.seed_x, "seed_x")
-        _check_seed_word(self.seed_delta, "seed_delta")
-        if self.seed_x == self.seed_delta:
-            raise DomainError("seed_x and seed_delta must differ")
-        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
-            raise DomainError("lr must be finite and positive")
+        _checked_jobs(
+            self.x[None], self.delta[None], self.seq_len,
+            [self.seed_x], [self.seed_delta], self.lr,
+        )
+
+
+def _checked_jobs(xs, deltas, seq_len, seeds_x, seeds_delta, lr):
+    """Validate B jobs: (B, n_x) and (B, n_d) operands, one seed pair per job.
+
+    Returns the operands as float16 and the seeds as a (2, B) uint16 array,
+    x seeds in row 0.
+    """
+    xs = np.asarray(xs, dtype=np.float16)
+    deltas = np.asarray(deltas, dtype=np.float16)
+    if xs.ndim != 2 or deltas.ndim != 2 or xs.shape[0] != deltas.shape[0]:
+        raise ContractError("xs and deltas must be 2-D with matching batch size")
+    if xs.shape[1] == 0 or deltas.shape[1] == 0:
+        raise DomainError("x and delta must be nonempty vectors")
+    if not (np.isfinite(xs).all() and np.isfinite(deltas).all()):
+        raise DomainError("x and delta entries must be finite")
+    check_seq_len(seq_len)
+    if np.shape(seeds_x) != xs.shape[:1] or np.shape(seeds_delta) != xs.shape[:1]:
+        raise ContractError("need one seed_x and one seed_delta per job")
+    seeds = np.array([seeds_x, seeds_delta])
+    if ((seeds < 1) | (seeds > 0xFFFF)).any():
+        raise DomainError("seeds must be nonzero 16-bit words")
+    seeds = seeds.astype(np.uint16)
+    if (seeds[0] == seeds[1]).any():
+        raise DomainError("seed_x and seed_delta must differ within each job")
+    if lr is not None and not (math.isfinite(lr) and lr > 0):
+        raise DomainError("lr must be finite and positive")
+    return xs, deltas, seeds
 
 
 @dataclass(frozen=True)
@@ -116,12 +130,13 @@ def _stream_words(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words.transpose(2, 0, 1))
 
 
-def _cell_array(bits_d, neg_d, bits_x, neg_x, exponents) -> np.ndarray:
+def _cell_array(bits_d, neg_d, bits_x, neg_x, exponents, out=None) -> np.ndarray:
     """B jobs' unit cells: (B, n_d, M) and (B, n_x, M) streams -> (B, n_d, n_x) binary16.
 
     neg_d and neg_x are the operands' sign bits, exponents the (B,) scale
     exponents. The count is AND + popcount over packed words; the pack
-    gathers from each job's table of every (sign, count) output.
+    gathers from each job's table of every (sign, count) output, into out
+    when given.
     """
     words_d = _stream_words(bits_d)
     words_x = _stream_words(bits_x)
@@ -140,7 +155,7 @@ def _cell_array(bits_d, neg_d, bits_x, neg_x, exponents) -> np.ndarray:
     index = index + np.arange(0, 2 * shape[0], 2)[:, None, None]  # row b * 2 + sign
     index *= seq_len + 1
     index += counts
-    return np.take(table.reshape(-1), index)
+    return np.take(table.reshape(-1), index, out=out, mode="clip")  # "raise" buffers out
 
 
 def _pack_table(seq_len: int, exponents) -> np.ndarray:
@@ -158,27 +173,43 @@ def _pack_table(seq_len: int, exponents) -> np.ndarray:
     return table
 
 
-def outer_product(job: OuterProductJob) -> UpdateMatrix:
-    ex = vector_exponent(job.x)
-    ed = vector_exponent(job.delta)
-    shape = (job.delta.size, job.x.size)
-    if ex.is_zero_vector or ed.is_zero_vector:
-        return UpdateMatrix(np.zeros(shape, dtype=np.float16), 0, None)
+def _run_jobs(xs, deltas, seq_len: int, seeds: np.ndarray, lr):
+    """The engine core: B checked jobs -> (entries, live, scale exponents).
 
-    rng_x = Lfsr(job.seed_x)
-    rng_d = Lfsr(job.seed_delta)
-    bits_x, sign_x = encode_matrix(job.x, ex.exponent, rng_x.next_words(job.seq_len))
-    bits_d, sign_d = encode_matrix(job.delta, ed.exponent, rng_d.next_words(job.seq_len))
+    entries is (B, n_d, n_x) binary16. live marks the jobs whose operands
+    are both nonzero, the only ones that draw words; the scale exponents
+    are those of the live jobs.
+    """
+    x64 = xs.astype(np.float64, order="C")  # order "K" copies broadcast rows F-ordered
+    d64 = deltas.astype(np.float64, order="C")
+    peaks = np.stack((np.max(np.abs(x64), axis=1), np.max(np.abs(d64), axis=1)))
+    live = peaks.all(axis=0)
 
-    if job.lr is None:
-        scale = f_scale(ex.exponent, ed.exponent, job.seq_len)
+    entries = np.zeros((xs.shape[0], deltas.shape[1], xs.shape[1]), dtype=np.float16)
+    if not live.any():
+        return entries, live, None
+    jobs = slice(None) if live.all() else live  # a mask copies, a slice does not
+
+    e_x, e_d = ceil_exponents(peaks[:, jobs])
+    words = word_matrix(seeds[:, jobs].reshape(-1), seq_len)  # x rows, then delta rows
+    bits_x, neg_x = encode_matrix(x64[jobs], e_x, words[: e_x.size])
+    bits_d, neg_d = encode_matrix(d64[jobs], e_d, words[e_x.size :])
+    exponents = scale_exponents(e_x, e_d, seq_len, lr)
+    if live.all():  # no copy: the gather stores into entries
+        _cell_array(bits_d, neg_d, bits_x, neg_x, exponents, out=entries)
     else:
-        scale = f_scale_with_lr(job.lr, ex.exponent, ed.exponent, job.seq_len)
+        entries[live] = _cell_array(bits_d, neg_d, bits_x, neg_x, exponents)
+    return entries, live, exponents
 
-    entries = _cell_array(
-        bits_d[None], sign_d[None], bits_x[None], sign_x[None], [scale.exponent]
-    )[0]
-    return UpdateMatrix(entries, rng_x.draws + rng_d.draws, scale)
+
+def outer_product(job: OuterProductJob) -> UpdateMatrix:
+    seeds = np.array([[job.seed_x], [job.seed_delta]], dtype=np.uint16)
+    entries, live, exponents = _run_jobs(
+        job.x[None], job.delta[None], job.seq_len, seeds, job.lr
+    )
+    if not live[0]:
+        return UpdateMatrix(entries[0], 0, None)
+    return UpdateMatrix(entries[0], 2 * job.seq_len, PowerOfTwoScale(int(exponents[0])))
 
 
 def outer_product_many(
@@ -196,68 +227,9 @@ def outer_product_many(
     is (B, n_d, n_x) float16, bit-identical per job to outer_product, and
     rng_draws counts only non-short-circuited jobs.
     """
-    xs = np.asarray(xs, dtype=np.float16)
-    deltas = np.asarray(deltas, dtype=np.float16)
-    if xs.ndim != 2 or deltas.ndim != 2 or xs.shape[0] != deltas.shape[0]:
-        raise ContractError("xs and deltas must be 2-D with matching batch size")
-    if not (np.isfinite(xs).all() and np.isfinite(deltas).all()):
-        raise DomainError("xs and deltas entries must be finite")
-    check_seq_len(seq_len)
-    seeds_x = np.asarray(seeds_x, dtype=np.uint16)
-    seeds_delta = np.asarray(seeds_delta, dtype=np.uint16)
-    if np.any(seeds_x == 0) or np.any(seeds_delta == 0):
-        raise DomainError("seeds must be nonzero 16-bit words")
-    if np.any(seeds_x == seeds_delta):
-        raise DomainError("seed_x and seed_delta must differ within each job")
-    if lr is not None and not (math.isfinite(lr) and lr > 0):
-        raise DomainError("lr must be finite and positive")
-
-    b, n_x = xs.shape
-    n_d = deltas.shape[1]
-    x64 = xs.astype(np.float64)
-    d64 = deltas.astype(np.float64)
-
-    peaks_x = np.max(np.abs(x64), axis=1)
-    peaks_d = np.max(np.abs(d64), axis=1)
-    active = (peaks_x > 0) & (peaks_d > 0)
-
-    entries = np.zeros((b, n_d, n_x), dtype=np.float16)
-    if not np.any(active):
-        return entries, 0
-
-    e_x = _ceil_exponents(peaks_x[active])
-    e_d = _ceil_exponents(peaks_d[active])
-    words_x = word_matrix(seeds_x[active], seq_len).astype(np.float64)
-    words_d = word_matrix(seeds_delta[active], seq_len).astype(np.float64)
-
-    xa = x64[active]
-    da = d64[active]
-    bits_x = np.abs(xa)[:, :, None] >= np.ldexp(words_x, e_x[:, None] - 16)[:, None, :]
-    bits_x &= (xa != 0.0)[:, :, None]
-    bits_d = np.abs(da)[:, :, None] >= np.ldexp(words_d, e_d[:, None] - 16)[:, None, :]
-    bits_d &= (da != 0.0)[:, :, None]
-
-    if lr is None and seq_len & (seq_len - 1) == 0:
-        exps = e_x + e_d - (seq_len.bit_length() - 1)
-    else:
-        exps = np.array(
-            [
-                (f_scale_with_lr(lr, int(a), int(c), seq_len) if lr is not None
-                 else f_scale(int(a), int(c), seq_len)).exponent
-                for a, c in zip(e_x, e_d)
-            ],
-            dtype=np.int64,
-        )
-
-    entries[active] = _cell_array(bits_d, da < 0, bits_x, xa < 0, exps)
-    draws = 2 * seq_len * int(np.sum(active))
-    return entries, draws
-
-
-def _ceil_exponents(peaks: np.ndarray) -> np.ndarray:
-    """Smallest E with peak <= 2^E, elementwise, for positive peaks."""
-    frac, exp = np.frexp(peaks)
-    return np.where(frac == 0.5, exp - 1, exp).astype(np.int64)
+    xs, deltas, seeds = _checked_jobs(xs, deltas, seq_len, seeds_x, seeds_delta, lr)
+    entries, live, _ = _run_jobs(xs, deltas, seq_len, seeds, lr)
+    return entries, 2 * seq_len * int(np.count_nonzero(live))
 
 
 def apply_update(
@@ -295,21 +267,14 @@ def apply_update(
     return (w - step).astype(np.float16), v.astype(np.float16)
 
 
-def _mix64(z: int) -> int:
-    """64-bit avalanche (the splitmix64 finalizer).
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """64-bit avalanche (the splitmix64 finalizer), elementwise on uint64.
 
     Seed derivation must be nonlinear: the generator itself is linear over
     GF(2), so any seed schedule built from XORs and register steps leaves a
     fixed linear relation between the two seeds of every pair, and their
     streams stay correlated across all counters.
     """
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _mix64_np(z: np.ndarray) -> np.ndarray:
     z = z + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -318,40 +283,39 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 def derive_seed(base: int, counter: int) -> int:
     """Deterministic per-job seed: hash (base, counter) down to a nonzero word."""
-    if counter < 0:
-        raise DomainError("counter must be nonnegative")
-    _check_seed_word(base, "base")
-    z = _mix64((base << 48) | (counter & _COUNTER_MASK))
-    return (z & 0xFFFF) or _SEED_FALLBACK
+    return derive_seed_pair(base, base, counter)[0]  # the x seed ignores base_delta
 
 
 def derive_seed_pair(base_x: int, base_delta: int, counter: int) -> tuple[int, int]:
     """Seeds for one job's two generators, forced distinct."""
-    sx = derive_seed(base_x, counter)
-    _check_seed_word(base_delta, "base_delta")
-    zd = _mix64((base_delta << 48) | (counter & _COUNTER_MASK))
-    sd = (zd & 0xFFFF) or _SEED_FALLBACK
-    while sd == sx:
-        zd = _mix64(zd)
-        sd = (zd & 0xFFFF) or _SEED_FALLBACK
-    return sx, sd
+    sx, sd = derive_seed_pairs(base_x, base_delta, [counter])
+    return int(sx[0]), int(sd[0])
 
 
-def derive_seed_pairs(base_x: int, base_delta: int, counters: np.ndarray):
-    """Vectorized derive_seed_pair over a counter array; returns (sx, sd) arrays."""
-    counters = np.asarray(counters, dtype=np.uint64)
-    _check_seed_word(base_x, "base_x")
-    _check_seed_word(base_delta, "base_delta")
-    masked = counters & np.uint64(_COUNTER_MASK)
-    zx = _mix64_np(masked | np.uint64(base_x << 48))
-    zd = _mix64_np(masked | np.uint64(base_delta << 48))
+def derive_seed_pairs(base_x: int, base_delta: int, counters):
+    """Seed pairs for many jobs, one per nonnegative counter: (sx, sd) uint16 arrays.
+
+    Each seed hashes its base word and the counter's low 48 bits down to a
+    nonzero word; a delta seed that equals its x seed is rehashed until
+    they differ.
+    """
+    if not (0 < base_x <= 0xFFFF and 0 < base_delta <= 0xFFFF):
+        raise DomainError("base seeds must be nonzero 16-bit words")
+    counters = np.asarray(counters)
+    if (counters < 0).any():
+        raise DomainError("counter must be nonnegative")
+    if counters.dtype == object:  # Python ints too wide for uint64
+        counters = counters & _COUNTER_MASK
+    masked = counters.astype(np.uint64) & np.uint64(_COUNTER_MASK)
+    zx = _mix64(masked | np.uint64(base_x << 48))
+    zd = _mix64(masked | np.uint64(base_delta << 48))
     sx = (zx & np.uint64(0xFFFF)).astype(np.uint16)
     sd = (zd & np.uint64(0xFFFF)).astype(np.uint16)
     sx[sx == 0] = _SEED_FALLBACK
     sd[sd == 0] = _SEED_FALLBACK
     clash = sd == sx
-    while np.any(clash):
-        zd[clash] = _mix64_np(zd[clash])
+    while clash.any():
+        zd[clash] = _mix64(zd[clash])
         fresh = (zd[clash] & np.uint64(0xFFFF)).astype(np.uint16)
         fresh[fresh == 0] = _SEED_FALLBACK
         sd[clash] = fresh
@@ -374,24 +338,12 @@ def conv_weight_update(
     update, summed position-major with binary16 rounding after each add.
     Seeds derive from the position index so positions decorrelate.
     """
-    acts = np.asarray(activations, dtype=np.float16)
-    grads = np.asarray(gradients, dtype=np.float16)
-    if acts.ndim != 2 or grads.ndim != 2:
-        raise ContractError("activations and gradients must be 2-D")
-    if acts.shape[0] != grads.shape[0]:
-        raise ContractError(
-            f"position mismatch: {acts.shape[0]} activations vs {grads.shape[0]} gradients"
-        )
-    positions = acts.shape[0]
+    positions = len(activations)
     if positions == 0:
         raise DomainError("need at least one position")
-
-    acc = np.zeros((grads.shape[1], acts.shape[1]), dtype=np.float16)
-    draws = 0
-    for p in range(positions):
-        sx, sd = derive_seed_pair(base_seed_x, base_seed_delta, p)
-        job = OuterProductJob(acts[p], grads[p], seq_len, sx, sd, lr)
-        result = outer_product(job)
-        acc = (acc + result.entries).astype(np.float16)
-        draws += result.rng_draws
+    sx, sd = derive_seed_pairs(base_seed_x, base_seed_delta, np.arange(positions))
+    entries, draws = outer_product_many(activations, gradients, seq_len, sx, sd, lr)
+    acc = np.zeros(entries.shape[1:], dtype=np.float16)
+    for update in entries:  # position-major: np.sum(axis=0) may add in another order
+        acc = (acc + update).astype(np.float16)
     return UpdateMatrix(acc, draws, None)

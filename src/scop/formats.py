@@ -68,28 +68,28 @@ def read_vector(path: str) -> np.ndarray:
     return _read_csv_vector(path)
 
 
-def _csv_lines(path: str):
-    """(line number, stripped text) of each nonblank line of a UTF-8 text file."""
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; bytes that do not decode raise DomainError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    yield lineno, line
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def csv_lines(path: str):
+    """(line number, stripped text) of each nonblank line of a UTF-8 text file."""
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
 def _read_csv_vector(path: str) -> np.ndarray:
-    values = []
-    for lineno, line in _csv_lines(path):
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise DomainError(f"{path}:{lineno}: {exc}") from exc
-    if not values:
-        raise DomainError(f"{path}: no values")
-    return np.asarray(values, dtype=np.float16)
+    column = _read_csv_matrix(path)
+    if column.shape[1] != 1:
+        raise DomainError(f"{path}: expected one value per line")
+    return column[:, 0]
 
 
 def write_matrix(path: str, values, fmt: str = "bin") -> None:
@@ -129,7 +129,7 @@ def read_matrix(path: str) -> np.ndarray:
 def _read_csv_matrix(path: str) -> np.ndarray:
     rows = []
     width = None
-    for lineno, line in _csv_lines(path):
+    for lineno, line in csv_lines(path):
         try:
             row = [float(v) for v in line.split(",")]
         except ValueError as exc:

@@ -16,14 +16,14 @@ import math
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 SIGN_MASK = 0x8000
 EXP_MASK = 0x7C00
 FRAC_MASK = 0x03FF
 EXP_BIAS = 15
-EXP_WIDTH = 5
-FRAC_WIDTH = 10
 
 MAX_FINITE_BITS = 0x7BFF
 MAX_FINITE = 65504.0
@@ -33,10 +33,6 @@ POS_INF_BITS = 0x7C00
 # double layout, used by the encoder below
 _D_EXP_MASK = 0x7FF0_0000_0000_0000
 _D_FRAC_MASK = 0x000F_FFFF_FFFF_FFFF
-
-
-def sign_bit(bits: int) -> int:
-    return (bits >> 15) & 0x1
 
 
 def exponent_field(bits: int) -> int:
@@ -124,23 +120,33 @@ class PowerOfTwoScale:
         return math.ldexp(1.0, self.exponent)
 
 
-def _check_positive_finite(v: float) -> None:
-    if not math.isfinite(v) or v <= 0.0:
-        raise DomainError(f"expected a positive finite value, got {v!r}")
+def _positive_finite(values) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    if not 0.0 < v.min() <= v.max() < math.inf:  # NaN fails every compare
+        bad = v[~((v > 0.0) & (v < math.inf))]
+        raise DomainError(f"expected a positive finite value, got {float(bad.flat[0])!r}")
+    return v
+
+
+def ceil_exponents(values) -> np.ndarray:
+    """Smallest integers e with v <= 2**e, i.e. ceil(log2(v)), elementwise."""
+    frac, exp = np.frexp(_positive_finite(values))  # v = frac * 2**exp, frac in [0.5, 1)
+    return exp - (frac == 0.5)
+
+
+def floor_exponents(values) -> np.ndarray:
+    """Exponents of the largest powers of two <= v, elementwise."""
+    return np.frexp(_positive_finite(values))[1] - 1
 
 
 def exponent_ceil(v: float) -> int:
     """Smallest integer e with v <= 2**e, i.e. ceil(log2(v))."""
-    _check_positive_finite(v)
-    frac, exp = math.frexp(v)  # v = frac * 2**exp, frac in [0.5, 1)
-    return exp - 1 if frac == 0.5 else exp
+    return int(ceil_exponents(v))
 
 
 def floor_pow2(v: float) -> PowerOfTwoScale:
     """Largest power of two <= v."""
-    _check_positive_finite(v)
-    _, exp = math.frexp(v)
-    return PowerOfTwoScale(exp - 1)
+    return PowerOfTwoScale(int(floor_exponents(v)))
 
 
 def scale_value(value: float, scale: PowerOfTwoScale) -> float:

@@ -10,11 +10,12 @@ period of 2^16 - 1 emissions.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .errors import SeedError
+from .errors import DomainError, SeedError
 
 WIDTH = 16
 TAPS = (16, 15, 13, 4)
@@ -22,9 +23,6 @@ PERIOD = (1 << WIDTH) - 1
 
 # tap t contributes register bit (WIDTH - t)
 _TAP_SHIFTS = tuple(WIDTH - t for t in TAPS)
-_STEPS_PER_WORD = WIDTH
-
-_word_table: np.ndarray | None = None
 
 
 def step_bit(register: int) -> int:
@@ -35,7 +33,8 @@ def step_bit(register: int) -> int:
     return (register >> 1) | ((fb & 1) << 15)
 
 
-def _build_word_table() -> np.ndarray:
+@functools.cache
+def _table() -> np.ndarray:
     """register -> register after 16 single-bit steps, for all 2^16 states."""
     states = np.arange(1 << WIDTH, dtype=np.uint32)
     fb = np.zeros_like(states)
@@ -47,11 +46,26 @@ def _build_word_table() -> np.ndarray:
     return table
 
 
-def _table() -> np.ndarray:
-    global _word_table
-    if _word_table is None:
-        _word_table = _build_word_table()
-    return _word_table
+@functools.cache
+def _ring() -> tuple[np.ndarray, np.ndarray]:
+    """(ring, pos): the word map's cycle through all PERIOD nonzero states.
+
+    16 is prime to the period, so the 16-step map is one cycle too:
+    ring[i + 1] is the word after ring[i], and pos[state] is the index of
+    state on the ring. Built by doubling: ring[L:2L] is the L-word jump of
+    ring[:L].
+    """
+    jump = _table()
+    ring = np.ones(1 << WIDTH, dtype=np.uint16)  # from state 1; the rest is overwritten
+    size = 1
+    while size < PERIOD:
+        np.take(jump, ring[:size], out=ring[size : 2 * size])
+        jump = np.take(jump, jump)
+        size *= 2
+    ring = ring[:PERIOD]
+    pos = np.zeros(1 << WIDTH, dtype=np.uint16)
+    pos[ring] = np.arange(PERIOD, dtype=np.uint16)
+    return ring, pos
 
 
 def _check_seed(value: int) -> int:
@@ -76,13 +90,9 @@ class Lfsr:
 
     def next_words(self, n: int) -> np.ndarray:
         """Draw n consecutive words as a uint16 array."""
-        table = _table()
-        out = np.empty(n, dtype=np.uint16)
-        reg = self.register
-        for i in range(n):
-            reg = table[reg]
-            out[i] = reg
-        self.register = int(reg)
+        out = word_matrix([self.register], n)[0]
+        if n:
+            self.register = int(out[-1])
         self.draws += n
         return out
 
@@ -104,17 +114,15 @@ def uniform_fraction(word: int) -> float:
 def word_matrix(seeds: np.ndarray, n: int) -> np.ndarray:
     """Lockstep draws for many generators: row b holds Lfsr(seeds[b]).next_words(n).
 
-    Equivalent to independent per-seed generators; used by the batched
-    outer-product path.
+    One gather from the ring: word k of seed s is ring[pos[s] + 1 + k],
+    wrapping at the period.
     """
-    table = _table()
     states = np.asarray(seeds, dtype=np.uint16)
     if states.ndim != 1:
         raise ValueError("seeds must be one-dimensional")
-    if np.any(states == 0):
+    if (states == 0).any():
         raise SeedError("seed must be a nonzero 16-bit word")
-    out = np.empty((states.shape[0], n), dtype=np.uint16)
-    for k in range(n):
-        states = table[states]
-        out[:, k] = states
-    return out
+    if n < 0:
+        raise DomainError(f"word count must be nonnegative, got {n}")
+    ring, pos = _ring()
+    return np.take(ring, pos[states][:, None] + np.arange(1, n + 1), mode="wrap")

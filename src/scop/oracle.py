@@ -25,7 +25,7 @@ import numpy as np
 from .encoder import check_seq_len, probability_of
 from .engine import derive_seed_pairs, outer_product_many
 from .errors import DomainError
-from .unit_cell import f_scale, f_scale_with_lr
+from .unit_cell import f_scale, scale_exponents
 
 
 def exact_outer(x, delta) -> np.ndarray:
@@ -53,10 +53,7 @@ def analytic_moments(
     grid error is below every tolerance used here).
     """
     p = probability_of(x, e_x) * probability_of(delta, e_delta)
-    if lr is None:
-        f = f_scale(e_x, e_delta, seq_len).value
-    else:
-        f = f_scale_with_lr(lr, e_x, e_delta, seq_len).value
+    f = math.ldexp(1.0, int(scale_exponents(e_x, e_delta, seq_len, lr)))
     sign = -1.0 if (x < 0) != (delta < 0) else 1.0
     mean = sign * f * seq_len * p
     variance = f * f * seq_len * p * (1.0 - p)

@@ -28,6 +28,7 @@ from .datasets import Dataset, generate_two_moons, load_digits_csv
 from .encoder import MAX_SEQ_LEN
 from .engine import apply_update, derive_seed_pairs, outer_product_many
 from .errors import DomainError
+from .formats import read_text
 
 _MODE_RE = re.compile(r"^stochastic\((\d+)\)$")
 
@@ -350,5 +351,4 @@ def _parse_field(key: str, value: str):
 
 
 def load_config(path: str) -> TrainingConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))

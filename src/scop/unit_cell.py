@@ -13,11 +13,12 @@ An optional learning-rate factor rides along before the fold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContractError, DomainError
-from .fp16 import MAX_FINITE_BITS, PowerOfTwoScale, decode_bits, floor_pow2
+from .fp16 import MAX_FINITE_BITS, PowerOfTwoScale, decode_bits, floor_exponents
 from .encoder import MAX_SEQ_LEN, StochasticSequence, check_seq_len
 
 
@@ -28,18 +29,25 @@ def counter_width(seq_len: int) -> int:
     return seq_len.bit_length()
 
 
+def scale_exponents(e_x, e_delta, seq_len: int, lr: float | None = None) -> np.ndarray:
+    """Elementwise exponent of floor-pow2(lr * 2^(e_x + e_delta) / seq_len); lr None is 1.
+
+    DomainError unless every scale is positive and finite, so also for an lr
+    that is not, or one so small the scale underflows to zero.
+    """
+    check_seq_len(seq_len)
+    mantissa = 1.0 if lr is None else lr
+    return floor_exponents(np.ldexp(mantissa, e_x + e_delta) / seq_len)
+
+
 def f_scale(e_x: int, e_delta: int, seq_len: int) -> PowerOfTwoScale:
     """floor-pow2 of 2^(e_x + e_delta) / seq_len."""
-    check_seq_len(seq_len)
-    return floor_pow2(math.ldexp(1.0, e_x + e_delta) / seq_len)
+    return PowerOfTwoScale(int(scale_exponents(e_x, e_delta, seq_len)))
 
 
 def f_scale_with_lr(lr: float, e_x: int, e_delta: int, seq_len: int) -> PowerOfTwoScale:
     """Scale with the learning rate folded in before the power-of-two fold."""
-    check_seq_len(seq_len)
-    if not (math.isfinite(lr) and lr > 0):
-        raise DomainError("lr must be finite and positive")
-    return floor_pow2(math.ldexp(lr, e_x + e_delta) / seq_len)
+    return PowerOfTwoScale(int(scale_exponents(e_x, e_delta, seq_len, lr)))
 
 
 @dataclass(frozen=True)

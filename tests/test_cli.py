@@ -272,3 +272,12 @@ def test_installed_console_script():
     )
     assert r.returncode == 0
     assert r.stdout.strip() == "0877"
+
+
+def test_train_non_utf8_config_exit_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"epochs = 1\n\xff\n")
+    r = run_cli("train", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert str(cfg) in r.stderr
+    assert "Traceback" not in r.stderr

@@ -91,3 +91,10 @@ def test_digits_csv_rejects_garbage(tmp_path):
     with pytest.raises(DomainError) as err:
         load_digits_csv(path)
     assert ":1" in str(err.value)
+
+
+def test_digits_csv_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "digits.csv"
+    path.write_bytes(b",".join([b"1"] * 64) + b",\xff3\n")
+    with pytest.raises(DomainError, match="digits.csv: not UTF-8"):
+        load_digits_csv(str(path))

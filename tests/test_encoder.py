@@ -22,6 +22,7 @@ from scop.encoder import (
     vector_exponent,
 )
 from scop.lfsr import PERIOD, Lfsr
+from scop.lfsr import word_matrix
 
 
 def test_golden_stream():
@@ -196,3 +197,27 @@ def test_full_period_frequency_equals_exact_word_count():
     for _ in range(PERIOD):
         ones += encode_with_words(x, 0, [rng.next_word()]).bits
     assert ones == 39296  # words 1..39296 all fire; word 0 never occurs
+
+
+def test_matrix_batch_rows_match_scalar_encoding():
+    rng = np.random.default_rng(11)
+    exponents = np.array([0, 3, -2])
+    values = rng.uniform(-1, 1, (3, 5)) * np.exp2(exponents)[:, None]
+    values[1, 2] = 0.0
+    values[2, 0] = -(2.0 ** -2)  # at its job's bound
+    words = word_matrix(np.array([0x7777, 0x0101, 0xFFFF]), 24)
+    bits, signs = encode_matrix(values, exponents, words)
+    assert bits.shape == (3, 5, 24) and signs.shape == (3, 5)
+    for b in range(3):
+        for i in range(5):
+            ref = encode_with_words(float(values[b, i]), int(exponents[b]), words[b])
+            assert pack_row(bits[b, i]) == ref.bits, (b, i)
+            assert signs[b, i] == ref.sign
+
+
+def test_matrix_batch_checks_each_job_against_its_own_exponent():
+    words = word_matrix(np.array([1, 2]), 8)
+    with pytest.raises(DomainError):
+        encode_matrix(np.array([[0.5], [1.5]]), np.array([0, 0]), words)
+    bits, _ = encode_matrix(np.array([[0.5], [1.5]]), np.array([0, 1]), words)
+    assert bits.shape == (2, 1, 8)

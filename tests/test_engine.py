@@ -30,6 +30,7 @@ from scop.unit_cell import (
     shift_pack,
     unit_cell_multiply,
 )
+from scop.engine import _checked_jobs
 
 
 def test_golden_job():
@@ -377,3 +378,67 @@ def test_pack_table_matches_shift_pack():
         for sign in (0, 1):
             ref = [shift_pack(sign, c, scale).bits for c in range(MAX_SEQ_LEN + 1)]
             assert table[b, sign].tolist() == ref, (int(e), sign)
+
+
+def test_underflowing_folded_lr_is_rejected():
+    """lr = 5e-324 folds the scale below the smallest double: no silent zero update."""
+    x = np.array([0.5, -0.25], dtype=np.float16)
+    job = OuterProductJob(x, x, 16, 0xACE1, 0x1234, lr=5e-324)  # a valid lr by itself
+    with pytest.raises(DomainError):
+        outer_product(job)
+    with pytest.raises(DomainError):
+        outer_product_many(x[None], x[None], 16, [0xACE1], [0x1234], lr=5e-324)
+
+
+def test_batch_of_broadcast_operands_matches_contiguous_copies():
+    """empirical_stats passes np.broadcast_to views; the bits must not depend on layout."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1, 1, 24).astype(np.float16)
+    d = rng.uniform(-2, 2, 12).astype(np.float16)
+    sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, np.arange(50))
+    views = (np.broadcast_to(x, (50, x.size)), np.broadcast_to(d, (50, d.size)))
+    copies = (np.tile(x, (50, 1)), np.tile(d, (50, 1)))
+    a, draws_a = outer_product_many(*views, 16, sx, sd, 0.1)
+    b, draws_b = outer_product_many(*copies, 16, sx, sd, 0.1)
+    assert np.array_equal(a.view(np.uint16), b.view(np.uint16))
+    assert draws_a == draws_b == 2 * 16 * 50
+
+
+def test_batch_and_job_share_one_validator():
+    xs = np.full((2, 2), 0.5, dtype=np.float16)
+    with pytest.raises(DomainError):
+        outer_product_many(xs, xs, 16, [1, 0x10001], [3, 4])  # once wrapped to seed 1
+    with pytest.raises(ContractError):
+        outer_product_many(xs, xs, 16, [1], [3])  # one seed pair for two jobs
+    with pytest.raises(DomainError):
+        outer_product_many(np.zeros((2, 0)), xs, 16, [1, 2], [3, 4])  # empty operand
+    with pytest.raises(DomainError):
+        OuterProductJob(xs[0], xs[0], 16, 0x10000, 0x1234)
+    _, _, seeds = _checked_jobs(xs, xs, 16, [1, 2], [3, 4], None)
+    assert seeds.dtype == np.uint16 and seeds.tolist() == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("counters", [np.array([-1]), [-1], np.array([3, -2, 5])])
+def test_derive_seed_pairs_rejects_negative_counters(counters):
+    with pytest.raises(DomainError):
+        derive_seed_pairs(0xACE1, 0x2C9F, counters)
+
+
+def test_derive_seed_counts_only_the_low_48_counter_bits():
+    assert derive_seed(0xACE1, 2**48 + 7) == derive_seed(0xACE1, 7)
+    assert derive_seed_pair(0xACE1, 0x2C9F, 2**70 + 9) == derive_seed_pair(0xACE1, 0x2C9F, 9)
+    sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, np.array([2**63 + 9], dtype=np.uint64))
+    assert (int(sx[0]), int(sd[0])) == derive_seed_pair(0xACE1, 0x2C9F, 9)
+
+
+def test_conv_weight_update_with_a_zero_position_and_folded_lr():
+    acts = np.array([[0.5, -0.25], [0.0, 0.0], [0.125, 1.0]], dtype=np.float16)
+    grads = np.array([[0.25], [0.5], [-0.75]], dtype=np.float16)
+    out = conv_weight_update(acts, grads, 24, 0x1111, 0x2222, lr=0.05)
+    assert out.rng_draws == 2 * 2 * 24  # the all-zero position draws nothing
+    acc = np.zeros((1, 2), dtype=np.float16)
+    for p in range(3):
+        sx, sd = derive_seed_pair(0x1111, 0x2222, p)
+        ref = outer_product(OuterProductJob(acts[p], grads[p], 24, sx, sd, lr=0.05))
+        acc = (acc + ref.entries).astype(np.float16)
+    assert np.array_equal(out.entries.view(np.uint16), acc.view(np.uint16))

@@ -27,6 +27,7 @@ from scop.fp16 import (
     scale_bits,
     scale_value,
 )
+from scop.fp16 import ceil_exponents, floor_exponents
 
 
 def test_decode_all_patterns_match_numpy():
@@ -166,3 +167,21 @@ def test_scale_bits_matches_numpy_scaling(bits, e):
     ours = decode_bits(scale_bits(bits, PowerOfTwoScale(e)))
     with np.errstate(over="ignore"):
         assert ours == float(np.float64(ref).astype(np.float16))
+
+
+@given(st.lists(st.floats(min_value=5e-324, max_value=1e300), min_size=1, max_size=16))
+def test_array_exponents_are_tight_elementwise(values):
+    v = np.array(values)
+    ceil = ceil_exponents(v)
+    floor = floor_exponents(v)
+    assert np.all(v <= np.ldexp(1.0, ceil)) and np.all(v > np.ldexp(1.0, ceil - 1))
+    assert np.all(np.ldexp(1.0, floor) <= v) and np.all(v < np.ldexp(1.0, floor + 1))
+    assert [exponent_ceil(x) for x in values] == ceil.tolist()
+    assert [floor_pow2(x).exponent for x in values] == floor.tolist()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_array_exponents_reject_any_bad_element(bad):
+    for fn in (ceil_exponents, floor_exponents):
+        with pytest.raises(DomainError, match=repr(bad)):
+            fn(np.array([0.5, bad, 2.0]))

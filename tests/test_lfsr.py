@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from scop.errors import SeedError
 from scop.lfsr import PERIOD, Lfsr, step_bit, uniform_fraction, word_matrix
+from scop.lfsr import _ring
 
 # frozen first words from seed 0xACE1, one register snapshot per 16 shifts
 GOLDEN_WORDS = [0x0877, 0xFB62, 0xB2B0, 0xE3E5, 0x7D35, 0xA2EE, 0x752E, 0x1BAB]
@@ -133,3 +134,34 @@ def test_word_matrix_matches_instances():
 def test_word_matrix_rejects_zero_seed():
     with pytest.raises(SeedError):
         word_matrix(np.array([0xACE1, 0]), 4)
+
+
+def test_ring_holds_every_nonzero_state_once_in_word_order():
+    ring, pos = _ring()
+    assert ring.size == PERIOD and 0 not in ring
+    assert np.unique(ring).size == PERIOD
+    assert np.array_equal(pos[ring], np.arange(PERIOD))
+    rng = Lfsr(int(ring[-1]))
+    assert [rng.next_word() for _ in range(3)] == list(ring[:3])  # the cycle closes
+
+
+def test_next_words_wraps_past_one_period():
+    n = PERIOD + 5
+    a = Lfsr(0xBEEF)
+    b = Lfsr(0xBEEF)
+    words = a.next_words(n)
+    assert list(words) == [b.next_word() for _ in range(n)]
+    assert (a.register, a.draws) == (b.register, b.draws)
+    row = word_matrix(np.array([0xBEEF, 0x0001]), n)[0]
+    assert np.array_equal(row, words)
+
+
+def test_next_words_zero_leaves_the_register():
+    rng = Lfsr(0x1234)
+    assert rng.next_words(0).size == 0
+    assert (rng.register, rng.draws) == (0x1234, 0)
+    with pytest.raises(ValueError):
+        rng.next_words(-1)
+    with pytest.raises(ValueError):
+        word_matrix(np.array([0x1234]), -1)
+    assert (rng.register, rng.draws) == (0x1234, 0)

@@ -18,6 +18,7 @@ from scop.train import (
     write_metrics_csv,
 )
 from scop.unit_cell import MAX_SEQ_LEN
+from scop.train import load_config
 
 
 def test_parse_mode():
@@ -214,3 +215,10 @@ def test_non_finite_layer_error_ends_fit_diverged(monkeypatch, mode):
     monkeypatch.setattr(train_module, "Mlp", _OverflowingBackward)
     metrics = train(_tiny(mode))
     assert metrics.diverged
+
+
+def test_load_config_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"epochs = 2\nmode = exact\xff\n")
+    with pytest.raises(DomainError, match="bad.cfg: not UTF-8"):
+        load_config(str(path))
