@@ -17,9 +17,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .encoder import encode, probability_of, vector_exponent
+from .encoder import StochasticSequence, encode, probability_of, vector_exponent
 from .engine import OuterProductJob, outer_product
 from .errors import ContractError, DomainError
 from .fp16 import PowerOfTwoScale
@@ -27,7 +25,7 @@ from .formats import read_vector, write_matrix
 from .lfsr import Lfsr
 from .oracle import analytic_moments, empirical_stats
 from .train import load_config, train, write_metrics_csv, write_metrics_jsonl
-from .unit_cell import shift_pack
+from .unit_cell import unit_cell_multiply
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -115,7 +113,7 @@ def cmd_lfsr(args) -> int:
 def cmd_encode(args) -> int:
     exponent = args.exponent
     if exponent is None:
-        exponent = 0 if args.value == 0 else vector_exponent([args.value]).exponent
+        exponent = vector_exponent([args.value]).exponent
     seq = encode(args.value, exponent, Lfsr(args.seed), args.seq_len)
     width = (args.seq_len + 3) // 4
     print(f"sign={seq.sign}")
@@ -127,9 +125,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_mul(args) -> int:
-    from .encoder import StochasticSequence
-    from .unit_cell import unit_cell_multiply
-
     a = StochasticSequence(args.a_bits, args.a_sign, args.seq_len)
     b = StochasticSequence(args.b_bits, args.b_sign, args.seq_len)
     result = unit_cell_multiply(a, b, PowerOfTwoScale(args.scale_exp))

@@ -34,7 +34,7 @@ import numpy as np
 from .encoder import check_seq_len, encode_matrix
 from .errors import ContractError, DomainError
 from .fp16 import MAX_FINITE, PowerOfTwoScale, ceil_exponents
-from .lfsr import word_matrix
+from .lfsr import check_seeds, word_matrix
 from .unit_cell import scale_exponents
 
 # fallback when seed derivation lands on the absorbing state
@@ -79,10 +79,7 @@ def _checked_jobs(xs, deltas, seq_len, seeds_x, seeds_delta, lr):
     check_seq_len(seq_len)
     if np.shape(seeds_x) != xs.shape[:1] or np.shape(seeds_delta) != xs.shape[:1]:
         raise ContractError("need one seed_x and one seed_delta per job")
-    seeds = np.array([seeds_x, seeds_delta])
-    if ((seeds < 1) | (seeds > 0xFFFF)).any():
-        raise DomainError("seeds must be nonzero 16-bit words")
-    seeds = seeds.astype(np.uint16)
+    seeds = check_seeds([seeds_x, seeds_delta])
     if (seeds[0] == seeds[1]).any():
         raise DomainError("seed_x and seed_delta must differ within each job")
     if lr is not None and not (math.isfinite(lr) and lr > 0):
@@ -203,7 +200,7 @@ def _run_jobs(xs, deltas, seq_len: int, seeds: np.ndarray, lr):
 
 
 def outer_product(job: OuterProductJob) -> UpdateMatrix:
-    seeds = np.array([[job.seed_x], [job.seed_delta]], dtype=np.uint16)
+    seeds = check_seeds([[job.seed_x], [job.seed_delta]])
     entries, live, exponents = _run_jobs(
         job.x[None], job.delta[None], job.seq_len, seeds, job.lr
     )
@@ -299,28 +296,30 @@ def derive_seed_pairs(base_x: int, base_delta: int, counters):
     nonzero word; a delta seed that equals its x seed is rehashed until
     they differ.
     """
-    if not (0 < base_x <= 0xFFFF and 0 < base_delta <= 0xFFFF):
-        raise DomainError("base seeds must be nonzero 16-bit words")
+    bases = check_seeds([base_x, base_delta], "base seed").astype(np.uint64)
+    bases <<= np.uint64(48)
     counters = np.asarray(counters)
     if (counters < 0).any():
         raise DomainError("counter must be nonnegative")
     if counters.dtype == object:  # Python ints too wide for uint64
         counters = counters & _COUNTER_MASK
     masked = counters.astype(np.uint64) & np.uint64(_COUNTER_MASK)
-    zx = _mix64(masked | np.uint64(base_x << 48))
-    zd = _mix64(masked | np.uint64(base_delta << 48))
-    sx = (zx & np.uint64(0xFFFF)).astype(np.uint16)
-    sd = (zd & np.uint64(0xFFFF)).astype(np.uint16)
-    sx[sx == 0] = _SEED_FALLBACK
-    sd[sd == 0] = _SEED_FALLBACK
+    z = _mix64(np.stack((masked | bases[0], masked | bases[1])))
+    sx, sd = _seed_words(z)
+    zd = z[1]
     clash = sd == sx
     while clash.any():
         zd[clash] = _mix64(zd[clash])
-        fresh = (zd[clash] & np.uint64(0xFFFF)).astype(np.uint16)
-        fresh[fresh == 0] = _SEED_FALLBACK
-        sd[clash] = fresh
+        sd[clash] = _seed_words(zd[clash])
         clash = sd == sx
     return sx, sd
+
+
+def _seed_words(z: np.ndarray) -> np.ndarray:
+    """Low 16 bits of each hash as a seed; the absorbing zero becomes _SEED_FALLBACK."""
+    seeds = (z & np.uint64(0xFFFF)).astype(np.uint16)
+    seeds[seeds == 0] = _SEED_FALLBACK
+    return seeds
 
 
 def conv_weight_update(

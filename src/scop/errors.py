@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class SeedError(DomainError):
-    """Rejected pseudo-random generator seed (zero is absorbing)."""
+    """Rejected generator seed: not an integer in 1..0xFFFF (zero is absorbing)."""
 
 
 class ContractError(Exception):

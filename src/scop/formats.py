@@ -14,6 +14,7 @@ are bit-exact too.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -25,47 +26,73 @@ MAGIC_MATRIX = b"ESOM"
 VERSION = 1
 
 
-def _payload(values: np.ndarray) -> bytes:
-    return values.astype("<f2").view("<u2").tobytes()
+# rank -> (magic, noun, adjective) of the container holding arrays of that rank
+_CONTAINERS = {
+    1: (MAGIC_VECTOR, "vector", "one-dimensional"),
+    2: (MAGIC_MATRIX, "matrix", "two-dimensional"),
+}
 
 
-def _from_payload(data: bytes, count: int) -> np.ndarray:
-    if len(data) != 2 * count:
-        raise DomainError(f"payload truncated: expected {2 * count} bytes")
-    return np.frombuffer(data, dtype="<u2").view("<f2").astype(np.float16)
-
-
-def write_vector(path: str, values, fmt: str = "bin") -> None:
-    vec = np.asarray(values, dtype=np.float16)
-    if vec.ndim != 1:
-        raise DomainError("expected a one-dimensional vector")
+def _write(path: str, values, fmt: str, rank: int) -> None:
+    magic, noun, adjective = _CONTAINERS[rank]
+    arr = np.asarray(values, dtype=np.float16)
+    if arr.ndim != rank:
+        raise DomainError(f"expected a {adjective} {noun}")
     if fmt == "bin":
         with open(path, "wb") as fh:
-            fh.write(MAGIC_VECTOR)
-            fh.write(struct.pack("<HI", VERSION, vec.size))
-            fh.write(_payload(vec))
+            fh.write(magic)
+            fh.write(struct.pack(f"<H{rank}I", VERSION, *arr.shape))
+            fh.write(arr.astype("<f2").view("<u2").tobytes())
     elif fmt == "csv":
+        rows = arr.reshape(arr.shape + (1,) * (2 - rank))  # a vector is one column
         with open(path, "w") as fh:
-            for v in vec:
-                fh.write(repr(float(v)) + "\n")
+            for row in rows:
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
     else:
         raise DomainError(f"unknown format {fmt!r}")
 
 
-def read_vector(path: str) -> np.ndarray:
+def _read(path: str, rank: int) -> np.ndarray:
+    magic, noun, _ = _CONTAINERS[rank]
+    other_magic, other_noun, _ = _CONTAINERS[3 - rank]
+    header = struct.Struct(f"<H{rank}I")  # version, then one u32 per dimension
     with open(path, "rb") as fh:
         head = fh.read(4)
-        if head == MAGIC_VECTOR:
-            meta = fh.read(6)
-            if len(meta) != 6:
+        if head == magic:
+            meta = fh.read(header.size)
+            if len(meta) != header.size:
                 raise DomainError(f"{path}: truncated header")
-            version, count = struct.unpack("<HI", meta)
+            version, *shape = header.unpack(meta)
             if version != VERSION:
                 raise DomainError(f"{path}: unsupported version {version}")
-            return _from_payload(fh.read(), count)
-        if head == MAGIC_MATRIX:
-            raise DomainError(f"{path}: holds a matrix, expected a vector")
-    return _read_csv_vector(path)
+            payload = fh.read()
+            nbytes = 2 * math.prod(shape)
+            if len(payload) != nbytes:
+                raise DomainError(f"payload truncated: expected {nbytes} bytes")
+            flat = np.frombuffer(payload, dtype="<u2").view("<f2").astype(np.float16)
+            return flat.reshape(shape)
+        if head == other_magic:
+            raise DomainError(f"{path}: holds a {other_noun}, expected a {noun}")
+    rows = _read_csv_matrix(path)
+    if rank == 1 and rows.shape[1] != 1:
+        raise DomainError(f"{path}: expected one value per line")
+    return rows[:, 0] if rank == 1 else rows
+
+
+def write_vector(path: str, values, fmt: str = "bin") -> None:
+    _write(path, values, fmt, 1)
+
+
+def read_vector(path: str) -> np.ndarray:
+    return _read(path, 1)
+
+
+def write_matrix(path: str, values, fmt: str = "bin") -> None:
+    _write(path, values, fmt, 2)
+
+
+def read_matrix(path: str) -> np.ndarray:
+    return _read(path, 2)
 
 
 def read_text(path: str) -> str:
@@ -83,47 +110,6 @@ def csv_lines(path: str):
         line = line.strip()
         if line:
             yield lineno, line
-
-
-def _read_csv_vector(path: str) -> np.ndarray:
-    column = _read_csv_matrix(path)
-    if column.shape[1] != 1:
-        raise DomainError(f"{path}: expected one value per line")
-    return column[:, 0]
-
-
-def write_matrix(path: str, values, fmt: str = "bin") -> None:
-    mat = np.asarray(values, dtype=np.float16)
-    if mat.ndim != 2:
-        raise DomainError("expected a two-dimensional matrix")
-    if fmt == "bin":
-        with open(path, "wb") as fh:
-            fh.write(MAGIC_MATRIX)
-            fh.write(struct.pack("<HII", VERSION, mat.shape[0], mat.shape[1]))
-            fh.write(_payload(mat.reshape(-1)))
-    elif fmt == "csv":
-        with open(path, "w") as fh:
-            for row in mat:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    else:
-        raise DomainError(f"unknown format {fmt!r}")
-
-
-def read_matrix(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head == MAGIC_MATRIX:
-            meta = fh.read(10)
-            if len(meta) != 10:
-                raise DomainError(f"{path}: truncated header")
-            version, rows, cols = struct.unpack("<HII", meta)
-            if version != VERSION:
-                raise DomainError(f"{path}: unsupported version {version}")
-            flat = _from_payload(fh.read(), rows * cols)
-            return flat.reshape(rows, cols)
-        if head == MAGIC_VECTOR:
-            raise DomainError(f"{path}: holds a vector, expected a matrix")
-    return _read_csv_matrix(path)
 
 
 def _read_csv_matrix(path: str) -> np.ndarray:

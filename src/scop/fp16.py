@@ -35,19 +35,11 @@ _D_EXP_MASK = 0x7FF0_0000_0000_0000
 _D_FRAC_MASK = 0x000F_FFFF_FFFF_FFFF
 
 
-def exponent_field(bits: int) -> int:
-    return (bits >> 10) & 0x1F
-
-
-def mantissa_field(bits: int) -> int:
-    return bits & FRAC_MASK
-
-
 def decode_bits(bits: int) -> float:
     """Exact value of a binary16 bit pattern as a Python float."""
     sign = -1.0 if bits & SIGN_MASK else 1.0
-    e = exponent_field(bits)
-    m = mantissa_field(bits)
+    e = (bits & EXP_MASK) >> 10
+    m = bits & FRAC_MASK
     if e == 0x1F:
         if m:
             return math.nan

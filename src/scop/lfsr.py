@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SeedError
+from .errors import ContractError, DomainError, SeedError
 
 WIDTH = 16
 TAPS = (16, 15, 13, 4)
@@ -68,10 +68,24 @@ def _ring() -> tuple[np.ndarray, np.ndarray]:
     return ring, pos
 
 
-def _check_seed(value: int) -> int:
-    if not 0 < value <= 0xFFFF:
-        raise SeedError(f"seed must be a nonzero 16-bit word, got {value:#x}")
-    return value
+def check_seeds(seeds, name: str = "seed") -> np.ndarray:
+    """Seeds as uint16; SeedError naming name unless each is an integer in 1..0xFFFF.
+
+    Floats are rejected, not truncated, and so are the object arrays numpy
+    builds for Python ints too wide for int64.
+    """
+    values = np.asarray(seeds)
+    flat = values.reshape(-1)
+    if values.dtype.kind in "iu":
+        bad = (flat < 1) | (flat > 0xFFFF)
+    else:
+        ok = [type(v) is int and 0 < v <= 0xFFFF for v in flat.tolist()]
+        bad = ~np.array(ok, dtype=bool)
+    if bad.any():
+        value = flat[bad].tolist()[0]
+        shown = f"{value:#x}" if type(value) is int else repr(value)
+        raise SeedError(f"{name} must be a nonzero 16-bit word, got {shown}")
+    return values.astype(np.uint16)
 
 
 class Lfsr:
@@ -80,7 +94,7 @@ class Lfsr:
     __slots__ = ("register", "draws")
 
     def __init__(self, seed: int):
-        self.register = _check_seed(seed)
+        self.register = int(check_seeds(seed))
         self.draws = 0
 
     def next_word(self) -> int:
@@ -117,11 +131,9 @@ def word_matrix(seeds: np.ndarray, n: int) -> np.ndarray:
     One gather from the ring: word k of seed s is ring[pos[s] + 1 + k],
     wrapping at the period.
     """
-    states = np.asarray(seeds, dtype=np.uint16)
+    states = check_seeds(seeds)
     if states.ndim != 1:
-        raise ValueError("seeds must be one-dimensional")
-    if (states == 0).any():
-        raise SeedError("seed must be a nonzero 16-bit word")
+        raise ContractError("seeds must be one-dimensional")
     if n < 0:
         raise DomainError(f"word count must be nonnegative, got {n}")
     ring, pos = _ring()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .encoder import MAX_SEQ_LEN
 from .engine import apply_update, derive_seed_pairs, outer_product_many
 from .errors import DomainError
 from .formats import read_text
+from .lfsr import check_seeds
 
 _MODE_RE = re.compile(r"^stochastic\((\d+)\)$")
 
@@ -85,8 +86,7 @@ class TrainingConfig:
             raise DomainError("n_samples: must be at least 4")
         if self.noise < 0:
             raise DomainError("noise: must be nonnegative")
-        if not 0 < self.seed_sc <= 0xFFFF:
-            raise DomainError("seed_sc: must be a nonzero 16-bit word")
+        check_seeds(self.seed_sc, "seed_sc")
 
 
 @dataclass(frozen=True)
@@ -294,17 +294,7 @@ def write_metrics_csv(metrics: RunMetrics, path: str) -> None:
 def write_metrics_jsonl(metrics: RunMetrics, path: str) -> None:
     with open(path, "w") as fh:
         for e in metrics.epochs:
-            fh.write(
-                json.dumps(
-                    {
-                        "epoch": e.epoch,
-                        "train_loss": e.train_loss,
-                        "train_acc": e.train_acc,
-                        "test_acc": e.test_acc,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(e)) + "\n")
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False}

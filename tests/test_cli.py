@@ -218,6 +218,33 @@ def test_train_smoke_and_outputs(tmp_path):
     assert [e["epoch"] for e in jsonl] == [0, 1]
 
 
+BAD_SEED_RUNS = {
+    "lfsr": ["lfsr", "--seed", "10000", "--count", "1"],
+    "encode": ["encode", "--value", "0.5", "--seq-len", "8", "--seed", "0"],
+    "outer": [
+        "outer", "--x", "{x}", "--delta", "{d}", "--seq-len", "16",
+        "--seed-x", "10001", "--seed-delta", "1234", "--out", "{out}",
+    ],
+    "stats": [
+        "stats", "--x", "{x}", "--delta", "{d}", "--seq-len", "16",
+        "--trials", "4", "--seed-delta", "0", "--report", "{out}",
+    ],
+    "train": ["train", "--config", "{cfg}", "--out-dir", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", BAD_SEED_RUNS)
+def test_bad_seed_exit_2(vectors, tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = stochastic(8)\nseed_sc = 0x10000\n")
+    xp, dp = vectors
+    paths = dict(x=xp, d=dp, out=str(tmp_path / "out"), cfg=str(cfg))
+    r = run_cli(*(arg.format(**paths) for arg in BAD_SEED_RUNS[command]))
+    assert r.returncode == 2
+    assert "seed" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_train_bad_config_names_field(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs = 0\n")

@@ -121,3 +121,46 @@ def test_empty_csv_rejected(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(DomainError):
         write_vector(str(tmp_path / "v.xml"), AWKWARD, "xml")
+
+
+CONTAINERS = [
+    (write_vector, read_vector, AWKWARD, 10),
+    (write_matrix, read_matrix, AWKWARD.reshape(2, 4), 14),
+]
+
+
+@pytest.mark.parametrize("write, read, values, header", CONTAINERS)
+def test_truncated_header_rejected(tmp_path, write, read, values, header):
+    path = tmp_path / "a.bin"
+    write(str(path), values, "bin")
+    path.write_bytes(path.read_bytes()[: header - 1])
+    with pytest.raises(DomainError, match="truncated header"):
+        read(str(path))
+
+
+@pytest.mark.parametrize("write, read, values, header", CONTAINERS)
+def test_unsupported_version_rejected(tmp_path, write, read, values, header):
+    path = tmp_path / "a.bin"
+    write(str(path), values, "bin")
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + b"\x02\x00" + raw[6:])
+    with pytest.raises(DomainError, match="unsupported version 2"):
+        read(str(path))
+
+
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+@pytest.mark.parametrize("write, read, values, header", CONTAINERS)
+def test_wrong_rank_write_rejected(tmp_path, write, read, values, header, fmt):
+    path = tmp_path / f"a.{fmt}"
+    wrong = values.reshape(2, -1) if values.ndim == 1 else values.reshape(-1)
+    with pytest.raises(DomainError, match="expected a (one|two)-dimensional"):
+        write(str(path), wrong, fmt)
+    assert not path.exists()
+
+
+def test_two_column_csv_is_not_a_vector(tmp_path):
+    path = str(tmp_path / "m.csv")
+    open(path, "w").write("1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(DomainError, match="expected one value per line"):
+        read_vector(path)
+    assert read_matrix(path).shape == (2, 2)

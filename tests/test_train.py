@@ -1,5 +1,6 @@
 """Training harness tests: configs, reproducibility, and the fp16 contract."""
 
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from scop.train import (
     softmax_cross_entropy,
     train,
     write_metrics_csv,
+    write_metrics_jsonl,
 )
 from scop.unit_cell import MAX_SEQ_LEN
 from scop.train import load_config
@@ -222,3 +224,56 @@ def test_load_config_rejects_non_utf8_bytes(tmp_path):
     path.write_bytes(b"epochs = 2\nmode = exact\xff\n")
     with pytest.raises(DomainError, match="bad.cfg: not UTF-8"):
         load_config(str(path))
+
+
+def test_metrics_jsonl_lines(tmp_path):
+    metrics = train(_tiny("exact", epochs=2))
+    path = tmp_path / "m.jsonl"
+    write_metrics_jsonl(metrics, str(path))
+    expected = [
+        json.dumps({
+            "epoch": e.epoch, "train_loss": e.train_loss,
+            "train_acc": e.train_acc, "test_acc": e.test_acc,
+        })
+        for e in metrics.epochs
+    ]
+    assert path.read_text() == "".join(line + "\n" for line in expected)
+    first = json.loads(expected[0])
+    assert list(first) == ["epoch", "train_loss", "train_acc", "test_acc"]
+
+
+@pytest.mark.parametrize("epochs", [7, 20, 200])
+def test_lr_schedule_steps_for_digits_only(epochs):
+    digits = TrainingConfig(
+        dataset="digits8x8", dataset_path="unread.csv", epochs=epochs, lr=0.5
+    )
+    first_step = math.floor(0.6 * epochs)
+    second_step = math.floor(0.85 * epochs)
+    for epoch in range(epochs):
+        if epoch < first_step:
+            expected = 0.5
+        elif epoch < second_step:
+            expected = 0.5 * 0.1
+        else:
+            expected = 0.5 * 0.01
+        assert train_module._lr_at(digits, epoch) == expected, epoch
+    moons = TrainingConfig(epochs=epochs, lr=0.5)
+    assert {train_module._lr_at(moons, e) for e in range(epochs)} == {0.5}
+
+
+def test_exact_fit_on_tiny_digits_csv(tmp_path):
+    path = tmp_path / "digits.csv"
+    rng = np.random.default_rng(3)
+    rows = [
+        ",".join(str(p) for p in rng.integers(0, 17, 64)) + f",{i % 10}"
+        for i in range(30)
+    ]
+    path.write_text("\n".join(rows) + "\n")
+    config = TrainingConfig(
+        topology=(64, 8, 10), epochs=2, batch_size=8, dataset="digits8x8",
+        dataset_path=str(path), mode="exact",
+    )
+    metrics = train(config)
+    assert not metrics.diverged
+    assert [e.epoch for e in metrics.epochs] == [0, 1]
+    assert all(math.isfinite(e.train_loss) for e in metrics.epochs)
