@@ -1,7 +1,7 @@
 """Bit-exact model of a stochastic-computing outer-product datapath."""
 
 from .errors import ContractError, DomainError, SeedError
-from .fp16 import PowerOfTwoScale, decode_bits, encode_value, floor_pow2, quantize
+from .fp16 import PowerOfTwoScale, decode_bits, floor_pow2
 from .lfsr import Lfsr, uniform_fraction
 from .encoder import StochasticSequence, encode, probability_of, vector_exponent
 from .unit_cell import f_scale, f_scale_with_lr, shift_pack, unit_cell_multiply
@@ -14,7 +14,7 @@ from .engine import (
     derive_seed_pair,
     outer_product,
 )
-from .oracle import analytic_moments, empirical_stats, exact_outer
+from .oracle import analytic_moments, empirical_stats, encode_value, exact_outer, quantize
 
 __version__ = "0.1.0"
 

@@ -45,8 +45,8 @@ def generate_two_moons(n: int, noise: float, seed: int) -> Dataset:
     """
     if n < 4:
         raise DomainError("need at least 4 points")
-    if noise < 0:
-        raise DomainError("noise must be nonnegative")
+    if not 0 <= noise < np.inf:  # NaN fails every compare
+        raise DomainError("noise must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     n0 = n // 2
     n1 = n - n0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, is_int
 from .fp16 import exponent_ceil
 from .lfsr import WIDTH, Lfsr
 
@@ -26,9 +26,9 @@ MAX_SEQ_LEN = 2048
 
 
 def check_seq_len(seq_len: int) -> None:
-    """Reject a stream length outside [1, MAX_SEQ_LEN] with DomainError."""
-    if not 1 <= seq_len <= MAX_SEQ_LEN:
-        raise DomainError(f"seq_len must be in [1, {MAX_SEQ_LEN}], got {seq_len}")
+    """DomainError unless the stream length is an integer in [1, MAX_SEQ_LEN]."""
+    if not (is_int(seq_len, 1) and seq_len <= MAX_SEQ_LEN):
+        raise DomainError(f"seq_len must be an integer in [1, {MAX_SEQ_LEN}], got {seq_len}")
 
 
 @dataclass(frozen=True)
@@ -131,21 +131,13 @@ def encode_matrix(values: np.ndarray, exponent, words: np.ndarray):
         raise ContractError("values and words must be 1-D, or 2-D with a row per job")
     exps = np.asarray(exponent)[..., None]
     mags = np.abs(vals)
-    if (mags > np.ldexp(1.0, exps)).any():
-        raise DomainError(f"operand exceeds 2^{exponent}")
+    if not (mags <= np.ldexp(1.0, exps)).all():  # NaN fails every compare
+        raise DomainError(f"operand is NaN or exceeds 2^{exponent}")
     thresholds = np.ldexp(w.astype(np.float64), exps - WIDTH)
     bits = mags[..., :, None] >= thresholds[..., None, :]
     bits &= (vals != 0.0)[..., None]
     signs = (vals < 0).astype(np.uint8)
     return bits, signs
-
-
-def pack_row(row: np.ndarray) -> int:
-    """Pack one bool row (LSB-first) into the integer form used by scalars."""
-    out = 0
-    for k in range(row.shape[0] - 1, -1, -1):
-        out = (out << 1) | int(row[k])
-    return out
 
 
 def _check_operand(x: float, exponent: int) -> None:

@@ -42,9 +42,13 @@ _SEED_FALLBACK = 0x5EED
 _COUNTER_MASK = (1 << 48) - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class OuterProductJob:
-    """One update-matrix computation: operands, stream length, seeds."""
+    """One checked update-matrix computation: operands, stream length, seeds.
+
+    Frozen, so outer_product runs the job exactly as it was checked. x and
+    delta hold the operands as float16, the caller's arrays when they were.
+    """
 
     x: np.ndarray
     delta: np.ndarray
@@ -54,8 +58,8 @@ class OuterProductJob:
     lr: float | None = None
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float16)
-        self.delta = np.asarray(self.delta, dtype=np.float16)
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float16))
+        object.__setattr__(self, "delta", np.asarray(self.delta, dtype=np.float16))
         _checked_jobs(
             self.x[None], self.delta[None], self.seq_len,
             [self.seed_x], [self.seed_delta], self.lr,
@@ -79,7 +83,8 @@ def _checked_jobs(xs, deltas, seq_len, seeds_x, seeds_delta, lr):
     check_seq_len(seq_len)
     if np.shape(seeds_x) != xs.shape[:1] or np.shape(seeds_delta) != xs.shape[:1]:
         raise ContractError("need one seed_x and one seed_delta per job")
-    seeds = check_seeds([seeds_x, seeds_delta])
+    # one check per group: numpy promotes a uint64 beside an int64 to float64
+    seeds = np.array([check_seeds(s) for s in (seeds_x, seeds_delta)])
     if (seeds[0] == seeds[1]).any():
         raise DomainError("seed_x and seed_delta must differ within each job")
     if lr is not None and not (math.isfinite(lr) and lr > 0):
@@ -200,7 +205,8 @@ def _run_jobs(xs, deltas, seq_len: int, seeds: np.ndarray, lr):
 
 
 def outer_product(job: OuterProductJob) -> UpdateMatrix:
-    seeds = check_seeds([[job.seed_x], [job.seed_delta]])
+    # the job checked its seeds when it was built, and it cannot change since
+    seeds = np.array([[job.seed_x], [job.seed_delta]], dtype=np.uint16)
     entries, live, exponents = _run_jobs(
         job.x[None], job.delta[None], job.seq_len, seeds, job.lr
     )
@@ -296,12 +302,14 @@ def derive_seed_pairs(base_x: int, base_delta: int, counters):
     nonzero word; a delta seed that equals its x seed is rehashed until
     they differ.
     """
-    bases = check_seeds([base_x, base_delta], "base seed").astype(np.uint64)
+    bases = np.array([check_seeds(b, "base seed") for b in (base_x, base_delta)], np.uint64)
     bases <<= np.uint64(48)
     counters = np.asarray(counters)
+    if counters.dtype.kind not in "iuO":  # object: Python ints too wide for int64
+        raise DomainError(f"counters must be integers, got dtype {counters.dtype}")
     if (counters < 0).any():
         raise DomainError("counter must be nonnegative")
-    if counters.dtype == object:  # Python ints too wide for uint64
+    if counters.dtype == object:
         counters = counters & _COUNTER_MASK
     masked = counters.astype(np.uint64) & np.uint64(_COUNTER_MASK)
     z = _mix64(np.stack((masked | bases[0], masked | bases[1])))

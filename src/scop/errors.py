@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer rule behind DomainError.
 
 The CLI maps DomainError (and subclasses) to exit code 2 and
 ContractError to exit code 3.
 """
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -15,3 +17,8 @@ class SeedError(DomainError):
 
 class ContractError(Exception):
     """Internal consistency violation between components (shape or length mismatch)."""
+
+
+def is_int(value, low: int) -> bool:
+    """True for a Python or numpy integer of at least low; floats never pass."""
+    return isinstance(value, (int, np.integer)) and value >= low

@@ -1,19 +1,17 @@
-"""Software model of IEEE 754 binary16 plus the power-of-two helpers the datapath uses.
+"""IEEE 754 binary16 layout, decoding and the power-of-two helpers the datapath uses.
 
 Bit layout (MSB first), bias 15:
 
     [ S | E4 E3 E2 E1 E0 | M9 M8 M7 M6 M5 M4 M3 M2 M1 M0 ]
 
-All arithmetic is modeled as decode -> exact double computation ->
-round-to-nearest-even re-encode, so results are platform independent.
-Subnormals round gradually (never flushed), values above 65504 in
-magnitude encode to signed infinity.
+Run-time rounding to binary16 is numpy's float16 cast (round to nearest
+even, gradual underflow, overflow to infinity). The software encoder that
+checks it, oracle.encode_value, lives with the other references.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +26,6 @@ EXP_BIAS = 15
 MAX_FINITE_BITS = 0x7BFF
 MAX_FINITE = 65504.0
 MIN_SUBNORMAL = 2.0 ** -24
-POS_INF_BITS = 0x7C00
-
-# double layout, used by the encoder below
-_D_EXP_MASK = 0x7FF0_0000_0000_0000
-_D_FRAC_MASK = 0x000F_FFFF_FFFF_FFFF
 
 
 def decode_bits(bits: int) -> float:
@@ -49,56 +42,6 @@ def decode_bits(bits: int) -> float:
         return sign * math.ldexp(m, -24)
     # normal: (1024 + m) * 2^(e - 15 - 10)
     return sign * math.ldexp(1024 + m, e - 25)
-
-
-def encode_value(value: float) -> int:
-    """Nearest binary16 bit pattern for a float, round-to-nearest-even.
-
-    Magnitudes above the max finite (65504) go to signed infinity,
-    small magnitudes round gradually into the subnormal range, and
-    -0.0 is preserved. NaN encodes to a quiet NaN.
-    """
-    (d,) = struct.unpack("<Q", struct.pack("<d", value))
-    h_sign = (d >> 48) & SIGN_MASK
-    d_exp = d & _D_EXP_MASK
-
-    if d_exp >= 0x40F0_0000_0000_0000:  # unbiased exponent >= 16
-        if d_exp == _D_EXP_MASK:
-            d_frac = d & _D_FRAC_MASK
-            if d_frac:  # NaN: keep the top payload bits, force quiet
-                h = 0x7C00 | (d_frac >> 42)
-                if h == 0x7C00:
-                    h |= 0x0200
-                return h_sign | h
-            return h_sign | POS_INF_BITS
-        return h_sign | POS_INF_BITS  # overflow
-
-    if d_exp <= 0x3F00_0000_0000_0000:  # unbiased exponent <= -15: subnormal range
-        if d_exp < 0x3E60_0000_0000_0000:  # magnitude < 2^-25: rounds to zero
-            return h_sign
-        # align the significand (with implicit one) so the result sits above bit 42
-        d_sig = 0x0010_0000_0000_0000 | (d & _D_FRAC_MASK)
-        shift = 1009 - (d_exp >> 52)
-        sticky = d_sig & ((1 << shift) - 1)
-        d_sig >>= shift
-        if sticky:
-            d_sig |= 1  # keep "above halfway" distinguishable from exact ties
-        # add the half ULP (bit 41) unless exactly halfway to an even result
-        if (d_sig & 0x7FF_FFFF_FFFF) != 0x200_0000_0000:
-            d_sig += 0x200_0000_0000
-        return h_sign | (d_sig >> 42)
-
-    h_exp = (d_exp - 0x3F00_0000_0000_0000) >> 42
-    d_sig = d & _D_FRAC_MASK
-    if (d_sig & 0x7FF_FFFF_FFFF) != 0x200_0000_0000:
-        d_sig += 0x200_0000_0000
-    h = h_exp + (d_sig >> 42)  # rounding may carry into the exponent
-    return h_sign | h  # h == 0x7C00 means rounded up to infinity, already correct
-
-
-def quantize(value: float) -> float:
-    """Nearest representable binary16 value (round-to-nearest-even)."""
-    return decode_bits(encode_value(value))
 
 
 @dataclass(frozen=True)
@@ -139,18 +82,3 @@ def exponent_ceil(v: float) -> int:
 def floor_pow2(v: float) -> PowerOfTwoScale:
     """Largest power of two <= v."""
     return PowerOfTwoScale(int(floor_exponents(v)))
-
-
-def scale_value(value: float, scale: PowerOfTwoScale) -> float:
-    """Binary16 multiplication by a power of two.
-
-    The product is formed exactly (ldexp) and re-encoded, so subnormal
-    results keep gradual-underflow rounding and out-of-range results
-    follow the usual overflow-to-infinity rule.
-    """
-    return quantize(math.ldexp(value, scale.exponent))
-
-
-def scale_bits(bits: int, scale: PowerOfTwoScale) -> int:
-    """scale_value on raw bit patterns."""
-    return encode_value(math.ldexp(decode_bits(bits), scale.exponent))

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, DomainError, SeedError
+from .errors import ContractError, DomainError, SeedError, is_int
 
 WIDTH = 16
 TAPS = (16, 15, 13, 4)
@@ -23,14 +23,6 @@ PERIOD = (1 << WIDTH) - 1
 
 # tap t contributes register bit (WIDTH - t)
 _TAP_SHIFTS = tuple(WIDTH - t for t in TAPS)
-
-
-def step_bit(register: int) -> int:
-    """One shift of the Fibonacci recurrence (the defining single-bit step)."""
-    fb = 0
-    for s in _TAP_SHIFTS:
-        fb ^= register >> s
-    return (register >> 1) | ((fb & 1) << 15)
 
 
 @functools.cache
@@ -110,12 +102,6 @@ class Lfsr:
         self.draws += n
         return out
 
-    def clone(self) -> "Lfsr":
-        other = Lfsr.__new__(Lfsr)
-        other.register = self.register
-        other.draws = self.draws
-        return other
-
     def __repr__(self) -> str:
         return f"Lfsr(register={self.register:#06x}, draws={self.draws})"
 
@@ -134,7 +120,7 @@ def word_matrix(seeds: np.ndarray, n: int) -> np.ndarray:
     states = check_seeds(seeds)
     if states.ndim != 1:
         raise ContractError("seeds must be one-dimensional")
-    if n < 0:
-        raise DomainError(f"word count must be nonnegative, got {n}")
+    if not is_int(n, 0):
+        raise DomainError(f"word count must be a nonnegative integer, got {n}")
     ring, pos = _ring()
     return np.take(ring, pos[states][:, None] + np.arange(1, n + 1), mode="wrap")

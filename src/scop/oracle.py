@@ -10,6 +10,10 @@ Three independent routes:
 * enumerate_unit_cell: exhaustive enumeration over a reduced word space with
   exact rational arithmetic, assuming nothing about the distribution shape.
 
+encode_value and quantize are a software binary16 encoder, built on the
+double's bit layout alone: the reference that numpy's float16 rounding, and
+so the datapath's output packing, is checked against.
+
 empirical_stats runs the real engine over many seed pairs and reports
 per-entry sample moments with a 95% confidence half-width.
 """
@@ -17,6 +21,7 @@ per-entry sample moments with a 95% confidence half-width.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +29,8 @@ import numpy as np
 
 from .encoder import check_seq_len, probability_of
 from .engine import derive_seed_pairs, outer_product_many
-from .errors import DomainError
+from .errors import DomainError, is_int
+from .fp16 import SIGN_MASK, decode_bits
 from .unit_cell import f_scale, scale_exponents
 
 
@@ -84,8 +90,8 @@ def empirical_stats(
     Seed pairs come from derive_seed_pairs over counters 0..trials-1, so the
     schedule is deterministic and collision-free within a trial.
     """
-    if trials < 2:
-        raise DomainError("need at least 2 trials for a variance")
+    if not is_int(trials, 2):
+        raise DomainError(f"trials must be an integer of at least 2, got {trials}")
     x = np.asarray(x, dtype=np.float16)
     delta = np.asarray(delta, dtype=np.float16)
     sx, sd = derive_seed_pairs(base_seed_x, base_seed_delta, np.arange(trials))
@@ -180,3 +186,58 @@ def enumerate_unit_cell(
     mean = sign * f * Fraction(total) / outcomes
     variance = f * f * Fraction(total_sq) / outcomes - mean * mean
     return mean, variance
+
+
+POS_INF_BITS = 0x7C00
+_D_EXP_MASK = 0x7FF0_0000_0000_0000  # binary64 exponent field
+_D_FRAC_MASK = 0x000F_FFFF_FFFF_FFFF  # binary64 fraction field
+
+
+def encode_value(value: float) -> int:
+    """Nearest binary16 bit pattern for a float, round-to-nearest-even.
+
+    Magnitudes above the max finite (65504) go to signed infinity,
+    small magnitudes round gradually into the subnormal range, and
+    -0.0 is preserved. NaN encodes to a quiet NaN.
+    """
+    (d,) = struct.unpack("<Q", struct.pack("<d", value))
+    h_sign = (d >> 48) & SIGN_MASK
+    d_exp = d & _D_EXP_MASK
+
+    if d_exp >= 0x40F0_0000_0000_0000:  # unbiased exponent >= 16
+        if d_exp == _D_EXP_MASK:
+            d_frac = d & _D_FRAC_MASK
+            if d_frac:  # NaN: keep the top payload bits, force quiet
+                h = 0x7C00 | (d_frac >> 42)
+                if h == 0x7C00:
+                    h |= 0x0200
+                return h_sign | h
+            return h_sign | POS_INF_BITS
+        return h_sign | POS_INF_BITS  # overflow
+
+    if d_exp <= 0x3F00_0000_0000_0000:  # unbiased exponent <= -15: subnormal range
+        if d_exp < 0x3E60_0000_0000_0000:  # magnitude < 2^-25: rounds to zero
+            return h_sign
+        # align the significand (with implicit one) so the result sits above bit 42
+        d_sig = 0x0010_0000_0000_0000 | (d & _D_FRAC_MASK)
+        shift = 1009 - (d_exp >> 52)
+        sticky = d_sig & ((1 << shift) - 1)
+        d_sig >>= shift
+        if sticky:
+            d_sig |= 1  # keep "above halfway" distinguishable from exact ties
+        # add the half ULP (bit 41) unless exactly halfway to an even result
+        if (d_sig & 0x7FF_FFFF_FFFF) != 0x200_0000_0000:
+            d_sig += 0x200_0000_0000
+        return h_sign | (d_sig >> 42)
+
+    h_exp = (d_exp - 0x3F00_0000_0000_0000) >> 42
+    d_sig = d & _D_FRAC_MASK
+    if (d_sig & 0x7FF_FFFF_FFFF) != 0x200_0000_0000:
+        d_sig += 0x200_0000_0000
+    h = h_exp + (d_sig >> 42)  # rounding may carry into the exponent
+    return h_sign | h  # h == 0x7C00 means rounded up to infinity, already correct
+
+
+def quantize(value: float) -> float:
+    """Nearest representable binary16 value (round-to-nearest-even)."""
+    return decode_bits(encode_value(value))

@@ -27,7 +27,7 @@ import numpy as np
 from .datasets import Dataset, generate_two_moons, load_digits_csv
 from .encoder import MAX_SEQ_LEN
 from .engine import apply_update, derive_seed_pairs, outer_product_many
-from .errors import DomainError
+from .errors import DomainError, is_int
 from .formats import read_text
 from .lfsr import check_seeds
 
@@ -67,12 +67,12 @@ class TrainingConfig:
     seed_sc: int = 0xACE1
 
     def __post_init__(self):
-        if len(self.topology) < 2 or any(n < 1 for n in self.topology):
-            raise DomainError("topology: need at least two positive layer sizes")
-        if self.epochs < 1:
-            raise DomainError("epochs: must be at least 1")
-        if self.batch_size < 1:
-            raise DomainError("batch_size: must be at least 1")
+        if len(self.topology) < 2 or not all(is_int(n, 1) for n in self.topology):
+            raise DomainError("topology: need at least two positive integer layer sizes")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("n_samples", 4),
+                          ("seed_data", 0), ("seed_init", 0)):
+            if not is_int(getattr(self, name), low):
+                raise DomainError(f"{name}: must be an integer of at least {low}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise DomainError("lr: must be finite and positive")
         if not 0 <= self.momentum < 1:
@@ -82,10 +82,10 @@ class TrainingConfig:
             raise DomainError(f"dataset: unknown dataset {self.dataset!r}")
         if self.dataset == "digits8x8" and not self.dataset_path:
             raise DomainError("dataset_path: required for digits8x8")
-        if self.n_samples < 4:
-            raise DomainError("n_samples: must be at least 4")
-        if self.noise < 0:
-            raise DomainError("noise: must be nonnegative")
+        if not 0 <= self.noise < math.inf:  # NaN fails every compare
+            raise DomainError("noise: must be finite and nonnegative")
+        if not isinstance(self.lr_folded, (bool, np.bool_)):
+            raise DomainError(f"lr_folded: must be true or false, got {self.lr_folded!r}")
         check_seeds(self.seed_sc, "seed_sc")
 
 

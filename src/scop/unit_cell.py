@@ -22,13 +22,6 @@ from .fp16 import MAX_FINITE_BITS, PowerOfTwoScale, decode_bits, floor_exponents
 from .encoder import MAX_SEQ_LEN, StochasticSequence, check_seq_len
 
 
-def counter_width(seq_len: int) -> int:
-    """Bits needed to hold popcounts 0..seq_len."""
-    if seq_len < 1:
-        raise DomainError("seq_len must be at least 1")
-    return seq_len.bit_length()
-
-
 def scale_exponents(e_x, e_delta, seq_len: int, lr: float | None = None) -> np.ndarray:
     """Elementwise exponent of floor-pow2(lr * 2^(e_x + e_delta) / seq_len); lr None is 1.
 

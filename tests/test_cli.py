@@ -253,6 +253,18 @@ def test_train_bad_config_names_field(tmp_path):
     assert "epochs" in r.stderr
 
 
+@pytest.mark.parametrize("line", ["seed_data = -1", "seed_init = -1", "noise = nan"])
+def test_train_bad_config_value_exit_2_before_training(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"epochs = 1\nn_samples = 40\n{line}\n")
+    out = tmp_path / "o"
+    r = run_cli("train", "--config", str(cfg), "--out-dir", str(out))
+    assert r.returncode == 2
+    assert line.split()[0] in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (out / "metrics.csv").exists()
+
+
 def test_train_unknown_key_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("learning_rate = 0.1\n")

@@ -52,6 +52,12 @@ def test_two_moons_validation():
         generate_two_moons(100, noise=-0.1, seed=0)
 
 
+@pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+def test_two_moons_rejects_non_finite_noise(noise):
+    with pytest.raises(DomainError):
+        generate_two_moons(100, noise=noise, seed=0)  # NaN once gave noiseless arcs
+
+
 def _write_digits(path, rows):
     with open(path, "w") as fh:
         for pixels, label in rows:

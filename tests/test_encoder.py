@@ -16,13 +16,20 @@ from scop.encoder import (
     encode,
     encode_matrix,
     encode_with_words,
-    pack_row,
     probability_of,
     threshold,
     vector_exponent,
 )
 from scop.lfsr import PERIOD, Lfsr
 from scop.lfsr import word_matrix
+
+
+def pack_row(row: np.ndarray) -> int:
+    """Pack one bool row (LSB-first) into the integer form used by scalars."""
+    out = 0
+    for k in range(row.shape[0] - 1, -1, -1):
+        out = (out << 1) | int(row[k])
+    return out
 
 
 def test_golden_stream():
@@ -213,6 +220,13 @@ def test_matrix_batch_rows_match_scalar_encoding():
             ref = encode_with_words(float(values[b, i]), int(exponents[b]), words[b])
             assert pack_row(bits[b, i]) == ref.bits, (b, i)
             assert signs[b, i] == ref.sign
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_rejects_a_non_finite_operand(bad):
+    words = word_matrix([0x7777], 8)[0]
+    with pytest.raises(DomainError):
+        encode_matrix(np.array([bad, 0.5]), 0, words)  # NaN once encoded as an empty stream
 
 
 def test_matrix_batch_checks_each_job_against_its_own_exponent():

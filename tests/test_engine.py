@@ -1,5 +1,6 @@
 """Engine tests: draw audit, golden matrix, and per-cell agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,30 @@ from scop.unit_cell import (
     unit_cell_multiply,
 )
 from scop.engine import _checked_jobs
+
+
+@pytest.mark.parametrize("field", ["seed_delta", "seq_len", "x"])
+def test_a_built_job_is_frozen(field):
+    job = OuterProductJob(np.array([0.5]), np.array([0.25]), 16, 1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(job, field, 1)  # seed_delta = 1 once ran equal x and delta streams
+
+
+def test_a_float16_operand_is_the_callers_array():
+    x = np.array([0.5, -0.25], dtype=np.float16)
+    d = np.array([1.0], dtype=np.float16)
+    job = OuterProductJob(x, d, 16, 1, 2)
+    assert job.x is x and job.delta is d
+
+
+def test_outer_product_trusts_the_job_seeds(monkeypatch):
+    import scop.engine as engine
+
+    job = OuterProductJob(np.array([0.5]), np.array([0.25]), 16, 1, 2)
+    calls = []
+    monkeypatch.setattr(engine, "check_seeds", lambda *a: calls.append(a))
+    assert outer_product(job).rng_draws == 32
+    assert calls == []
 
 
 def test_golden_job():

@@ -20,14 +20,11 @@ from scop.fp16 import (
     MIN_SUBNORMAL,
     PowerOfTwoScale,
     decode_bits,
-    encode_value,
     exponent_ceil,
     floor_pow2,
-    quantize,
-    scale_bits,
-    scale_value,
 )
 from scop.fp16 import ceil_exponents, floor_exponents
+from scop.oracle import encode_value, quantize
 
 
 def test_decode_all_patterns_match_numpy():
@@ -141,32 +138,6 @@ def test_power_of_two_scale_value():
     assert PowerOfTwoScale(-4).value == 0.0625
     assert PowerOfTwoScale(0).value == 1.0
     assert PowerOfTwoScale(3).value == 8.0
-
-
-def test_scale_value_matches_quantized_multiply():
-    s = PowerOfTwoScale(-3)
-    for v in (0.0, 1.0, -1.5, 0.2998046875, 65504.0, 2.0 ** -20):
-        assert scale_value(v, s) == quantize(v * s.value)
-
-
-def test_scale_bits_is_pure_exponent_arithmetic_when_in_range():
-    s = PowerOfTwoScale(2)
-    assert scale_bits(encode_value(1.5), s) == encode_value(6.0)
-    s = PowerOfTwoScale(-1)
-    assert scale_bits(encode_value(-3.0), s) == encode_value(-1.5)
-
-
-@given(
-    st.integers(min_value=0, max_value=(1 << 16) - 1),
-    st.integers(min_value=-8, max_value=8),
-)
-def test_scale_bits_matches_numpy_scaling(bits, e):
-    if (bits & 0x7C00) == 0x7C00:
-        return  # inf/NaN scaling is not part of the contract
-    ref = np.ldexp(np.uint16(bits).view(np.float16).astype(np.float64), e)
-    ours = decode_bits(scale_bits(bits, PowerOfTwoScale(e)))
-    with np.errstate(over="ignore"):
-        assert ours == float(np.float64(ref).astype(np.float16))
 
 
 @given(st.lists(st.floats(min_value=5e-324, max_value=1e300), min_size=1, max_size=16))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scop.errors import SeedError
-from scop.lfsr import PERIOD, Lfsr, step_bit, uniform_fraction, word_matrix
+from scop.lfsr import PERIOD, Lfsr, uniform_fraction, word_matrix
 from scop.lfsr import _ring
 
 # frozen first words from seed 0xACE1, one register snapshot per 16 shifts
@@ -43,15 +43,6 @@ def test_matches_bit_register_model():
     ref = BitRegister(0xBEEF)
     for _ in range(200):
         assert rng.next_word() == ref.word()
-
-
-def test_step_bit_matches_bit_register_model():
-    ref = BitRegister(0x0001)
-    reg = 0x0001
-    for _ in range(100):
-        ref.shift()
-        reg = step_bit(reg)
-        assert reg == sum(b << i for i, b in enumerate(ref.bits))
 
 
 def test_full_period_and_return():
@@ -99,15 +90,6 @@ def test_next_words_equals_repeated_next_word():
     b = Lfsr(0x5A5A)
     assert list(a.next_words(32)) == [b.next_word() for _ in range(32)]
     assert a.register == b.register
-
-
-def test_clone_is_independent():
-    a = Lfsr(0x1111)
-    a.next_words(3)
-    c = a.clone()
-    assert (c.register, c.draws) == (a.register, a.draws)
-    a.next_word()
-    assert c.register != a.register
 
 
 def test_uniform_fraction():

@@ -6,11 +6,12 @@ import pytest
 from scop.engine import (
     OuterProductJob,
     conv_weight_update,
+    derive_seed,
     derive_seed_pairs,
     outer_product,
     outer_product_many,
 )
-from scop.errors import ContractError, SeedError
+from scop.errors import ContractError, DomainError, SeedError
 from scop.lfsr import Lfsr, check_seeds, word_matrix
 from scop.oracle import empirical_stats
 from scop.train import TrainingConfig, train
@@ -80,6 +81,32 @@ def test_batched_entry_points_reject_wide_array_seeds(seeds):
     xs = np.tile(X, (len(seeds), 1))
     with pytest.raises(SeedError):
         outer_product_many(xs, xs, 16, seeds, other)
+
+
+def test_seed_groups_of_different_integer_types_are_checked_apart():
+    # numpy promotes a uint64 beside an int64 to float64, once rejected as "got 1.0"
+    assert _bits(derive_seed_pairs(np.uint64(1), np.int64(2), [0])) == _bits(
+        derive_seed_pairs(1, 2, [0])
+    )
+    xs = np.tile(X, (3, 1))
+    ds = np.tile(D, (3, 1))
+    entries, draws = outer_product_many(
+        xs, ds, 16, np.array([1, 3, 5], dtype=np.uint64), np.array([2, 4, 6], dtype=np.int64)
+    )
+    want, want_draws = outer_product_many(xs, ds, 16, [1, 3, 5], [2, 4, 6])
+    assert _bits(entries) == _bits(want) and draws == want_draws
+    job = OuterProductJob(X, D, 16, np.uint64(1), np.int64(2))
+    assert _bits(outer_product(job).entries) == _bits(want[0])
+
+
+@pytest.mark.parametrize("derive", [
+    lambda c: derive_seed_pairs(0xACE1, 0x2C9F, [c]),
+    lambda c: derive_seed(0xACE1, c),  # 1.5 once gave counter 1's seed
+], ids=["derive_seed_pairs", "derive_seed"])
+@pytest.mark.parametrize("counter", [np.nan, np.inf, 1.5], ids=repr)
+def test_a_non_integer_counter_is_rejected(derive, counter):
+    with pytest.raises(DomainError, match="integer"):
+        derive(counter)
 
 
 def test_word_matrix_rejects_a_two_dimensional_seed_array():

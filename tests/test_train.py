@@ -59,6 +59,23 @@ def test_config_validation_names_fields():
         assert fieldname in str(err.value), fieldname
 
 
+@pytest.mark.parametrize("fieldname, value", [
+    ("seed_data", -1),  # np.random.default_rng once rejected it mid-train
+    ("seed_init", -1),
+    ("noise", float("nan")),  # once trained as noise 0
+    ("noise", float("inf")),
+    ("lr_folded", "no"),  # once fit as lr_folded=True
+    ("epochs", 2.0),  # float counts once raised TypeError inside train()
+    ("batch_size", 8.5),
+    ("n_samples", 40.0),
+    ("topology", (2, 4.0, 2)),
+])
+def test_config_rejects_a_bad_field_before_training(fieldname, value):
+    with pytest.raises(DomainError) as err:
+        TrainingConfig(**{fieldname: value})
+    assert fieldname in str(err.value)
+
+
 def test_parse_config_full():
     cfg = parse_config(
         """

@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 
 from scop.encoder import StochasticSequence
 from scop.errors import ContractError, DomainError
-from scop.fp16 import PowerOfTwoScale, quantize
+from scop.fp16 import PowerOfTwoScale
+from scop.oracle import quantize
 from scop.unit_cell import (
     MAX_SEQ_LEN,
-    counter_width,
     f_scale,
     f_scale_with_lr,
     shift_pack,
@@ -52,13 +52,6 @@ def test_f_scale_rejects_bad_seq_len():
         f_scale_with_lr(0.0, 0, 0, 16)
     with pytest.raises(DomainError):
         f_scale_with_lr(-0.1, 0, 0, 16)
-
-
-def test_counter_width():
-    assert counter_width(1) == 1
-    assert counter_width(15) == 4
-    assert counter_width(16) == 5
-    assert counter_width(2048) == 12
 
 
 def test_shift_pack_example():
