@@ -4,8 +4,10 @@ A value x with |x| <= 2^E is carried as (sign, bitstream): event k emits a 1
 when |x| >= w_k / 2^16 * 2^E for the k-th pseudo-random word w_k, so
 P(bit = 1) tracks |x| / 2^E. The threshold is built from the word by exponent
 adjustment alone (ldexp), mirroring a comparator datapath with no multiplier
-or divider. x = 0 is special-cased to the all-zero stream, which annihilates
-products regardless of the partner stream.
+or divider; encode_matrix shifts |x| into a 16-bit level instead and compares
+integers, which decides every event the same way. x = 0 is the all-zero
+stream (no word is zero), which annihilates products regardless of the
+partner stream.
 
 Bitstreams are packed LSB-first: bit k of the integer is event k.
 """
@@ -129,13 +131,15 @@ def encode_matrix(values: np.ndarray, exponent, words: np.ndarray):
     w = np.asarray(words, dtype=np.uint16)
     if vals.ndim not in (1, 2) or w.shape[:-1] != vals.shape[:-1] or w.ndim != vals.ndim:
         raise ContractError("values and words must be 1-D, or 2-D with a row per job")
-    exps = np.asarray(exponent)[..., None]
-    mags = np.abs(vals)
-    if not (mags <= np.ldexp(1.0, exps)).all():  # NaN fails every compare
+    if not w.all():
+        raise DomainError("words must be nonzero, as the generator emits them")
+    # |x| >= w * 2^(E - 16) iff floor(|x| * 2^(16 - E)) >= w: the scaling is
+    # exact and w an integer. 2^E itself caps at 0xFFFF, still >= every word.
+    scaled = np.ldexp(np.abs(vals), WIDTH - np.asarray(exponent)[..., None])
+    if not (scaled <= 1 << WIDTH).all():  # NaN fails every compare
         raise DomainError(f"operand is NaN or exceeds 2^{exponent}")
-    thresholds = np.ldexp(w.astype(np.float64), exps - WIDTH)
-    bits = mags[..., :, None] >= thresholds[..., None, :]
-    bits &= (vals != 0.0)[..., None]
+    levels = np.minimum(scaled, 0xFFFF, out=scaled).astype(np.uint16)  # truncation floors
+    bits = levels[..., :, None] >= w[..., None, :]
     signs = (vals < 0).astype(np.uint8)
     return bits, signs
 

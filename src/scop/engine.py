@@ -8,8 +8,10 @@ delta_j and x_i, so a full N_D x N_X matrix costs 2 * seq_len draws total.
 A job whose x or delta is all zeros short-circuits to the zero matrix and
 draws nothing.
 
-Single jobs, batches and conv updates share one batched core, a single job
-being a batch of one. It works as the unit cells do:
+Single jobs, batches, conv updates and a training step's layers share one
+core. It takes groups of jobs of one shape each (a step has one per layer)
+and computes exponents, words, scales and the pack table once for all of
+them; each group is then encoded and counted as the unit cells do:
 
 * count: each row of stream bits is packed into machine words (np.packbits;
   one uint8/16/32/64 word when the row fills 1, 2, 4 or 8 bytes, else
@@ -67,29 +69,41 @@ class OuterProductJob:
 
 
 def _checked_jobs(xs, deltas, seq_len, seeds_x, seeds_delta, lr):
-    """Validate B jobs: (B, n_x) and (B, n_d) operands, one seed pair per job.
-
-    Returns the operands as float16 and the seeds as a (2, B) uint16 array,
-    x seeds in row 0.
-    """
-    xs = np.asarray(xs, dtype=np.float16)
-    deltas = np.asarray(deltas, dtype=np.float16)
-    if xs.ndim != 2 or deltas.ndim != 2 or xs.shape[0] != deltas.shape[0]:
-        raise ContractError("xs and deltas must be 2-D with matching batch size")
-    if xs.shape[1] == 0 or deltas.shape[1] == 0:
-        raise DomainError("x and delta must be nonempty vectors")
-    if not (np.isfinite(xs).all() and np.isfinite(deltas).all()):
-        raise DomainError("x and delta entries must be finite")
-    check_seq_len(seq_len)
-    if np.shape(seeds_x) != xs.shape[:1] or np.shape(seeds_delta) != xs.shape[:1]:
+    """Check one batch; return its float16 operands and (2, B) uint16 seeds, x seeds first."""
+    [(xs, deltas)] = _checked_groups([(xs, deltas)], seq_len, lr)
+    seeds = check_seed_pairs(seeds_x, seeds_delta)
+    if seeds.shape[1:] != xs.shape[:1]:
         raise ContractError("need one seed_x and one seed_delta per job")
-    # one check per group: numpy promotes a uint64 beside an int64 to float64
-    seeds = np.array([check_seeds(s) for s in (seeds_x, seeds_delta)])
-    if (seeds[0] == seeds[1]).any():
-        raise DomainError("seed_x and seed_delta must differ within each job")
+    return xs, deltas, seeds
+
+
+def _checked_groups(groups, seq_len, lr):
+    """Check (B, n_x) and (B, n_d) operand pairs, seq_len and lr; return the pairs as float16."""
+    checked = []
+    for xs, deltas in groups:
+        xs = np.asarray(xs, dtype=np.float16)
+        deltas = np.asarray(deltas, dtype=np.float16)
+        if xs.ndim != 2 or deltas.ndim != 2 or xs.shape[0] != deltas.shape[0]:
+            raise ContractError("xs and deltas must be 2-D with matching batch size")
+        if xs.shape[1] == 0 or deltas.shape[1] == 0:
+            raise DomainError("x and delta must be nonempty vectors")
+        if not (np.isfinite(xs).all() and np.isfinite(deltas).all()):
+            raise DomainError("x and delta entries must be finite")
+        checked.append((xs, deltas))
+    check_seq_len(seq_len)
     if lr is not None and not (math.isfinite(lr) and lr > 0):
         raise DomainError("lr must be finite and positive")
-    return xs, deltas, seeds
+    return checked
+
+
+def check_seed_pairs(seeds_x, seeds_delta) -> np.ndarray:
+    """(2, B) uint16 seeds, x seeds in row 0: each a valid seed, the two of a job distinct."""
+    if np.ndim(seeds_x) != 1 or np.shape(seeds_x) != np.shape(seeds_delta):
+        raise ContractError("need one seed_x and one seed_delta per job")
+    seeds = check_seeds([seeds_x, seeds_delta])
+    if (seeds[0] == seeds[1]).any():
+        raise DomainError("seed_x and seed_delta must differ within each job")
+    return seeds
 
 
 @dataclass(frozen=True)
@@ -132,34 +146,6 @@ def _stream_words(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words.transpose(2, 0, 1))
 
 
-def _cell_array(bits_d, neg_d, bits_x, neg_x, exponents, out=None) -> np.ndarray:
-    """B jobs' unit cells: (B, n_d, M) and (B, n_x, M) streams -> (B, n_d, n_x) binary16.
-
-    neg_d and neg_x are the operands' sign bits, exponents the (B,) scale
-    exponents. The count is AND + popcount over packed words; the pack
-    gathers from each job's table of every (sign, count) output, into out
-    when given.
-    """
-    words_d = _stream_words(bits_d)
-    words_x = _stream_words(bits_x)
-    shape = words_d.shape[1:] + words_x.shape[-1:]
-    both = np.empty(shape, dtype=words_d.dtype)
-    ones = np.empty(shape, dtype=np.uint8)
-    np.bitwise_and(words_d[0][:, :, None], words_x[0][:, None, :], out=both)
-    counts = np.bitwise_count(both, out=np.empty(shape, dtype=np.uint16))
-    for wd, wx in zip(words_d[1:], words_x[1:]):
-        np.bitwise_and(wd[:, :, None], wx[:, None, :], out=both)
-        counts += np.bitwise_count(both, out=ones)
-
-    seq_len = bits_d.shape[-1]
-    table = _pack_table(seq_len, exponents)
-    index = np.bitwise_xor(neg_d[:, :, None], neg_x[:, None, :])
-    index = index + np.arange(0, 2 * shape[0], 2)[:, None, None]  # row b * 2 + sign
-    index *= seq_len + 1
-    index += counts
-    return np.take(table.reshape(-1), index, out=out, mode="clip")  # "raise" buffers out
-
-
 def _pack_table(seq_len: int, exponents) -> np.ndarray:
     """(B, 2, seq_len + 1) binary16: [b, sign, count] is the cell output at scale 2^exponents[b].
 
@@ -175,40 +161,73 @@ def _pack_table(seq_len: int, exponents) -> np.ndarray:
     return table
 
 
-def _run_jobs(xs, deltas, seq_len: int, seeds: np.ndarray, lr):
-    """The engine core: B checked jobs -> (entries, live, scale exponents).
+def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
+    """The engine core: groups of checked jobs -> (entries per group, live, scale exponents).
 
-    entries is (B, n_d, n_x) binary16. live marks the jobs whose operands
-    are both nonzero, the only ones that draw words; the scale exponents
-    are those of the live jobs.
+    Group g is a float16 (xs, deltas) pair, (B_g, n_x) and (B_g, n_d); seeds
+    is (2, sum B_g), one column per job in group order. Entries are
+    (B_g, n_d, n_x) binary16. live marks the jobs whose operands are both
+    nonzero, the only ones that draw words; the exponents are the live jobs'.
     """
-    x64 = xs.astype(np.float64, order="C")  # order "K" copies broadcast rows F-ordered
-    d64 = deltas.astype(np.float64, order="C")
-    peaks = np.stack((np.max(np.abs(x64), axis=1), np.max(np.abs(d64), axis=1)))
+    # order "K" would copy broadcast rows F-ordered
+    x64 = [xs.astype(np.float64, order="C") for xs, _ in groups]
+    d64 = [deltas.astype(np.float64, order="C") for _, deltas in groups]
+    peaks = np.array([np.concatenate([np.max(np.abs(v), axis=1) for v in vs])
+                      for vs in (x64, d64)])
     live = peaks.all(axis=0)
-
-    entries = np.zeros((xs.shape[0], deltas.shape[1], xs.shape[1]), dtype=np.float16)
+    out = [np.zeros((x.shape[0], d.shape[1], x.shape[1]), np.float16) for x, d in zip(x64, d64)]
     if not live.any():
-        return entries, live, None
-    jobs = slice(None) if live.all() else live  # a mask copies, a slice does not
+        return out, live, None
 
+    all_live = live.all()
+    jobs = slice(None) if all_live else live  # a mask copies, a slice does not
     e_x, e_d = ceil_exponents(peaks[:, jobs])
-    words = word_matrix(seeds[:, jobs].reshape(-1), seq_len)  # x rows, then delta rows
-    bits_x, neg_x = encode_matrix(x64[jobs], e_x, words[: e_x.size])
-    bits_d, neg_d = encode_matrix(d64[jobs], e_d, words[e_x.size :])
+    words = word_matrix(seeds[:, jobs].reshape(-1), seq_len).reshape(2, e_x.size, seq_len)
     exponents = scale_exponents(e_x, e_d, seq_len, lr)
-    if live.all():  # no copy: the gather stores into entries
-        _cell_array(bits_d, neg_d, bits_x, neg_x, exponents, out=entries)
-    else:
-        entries[live] = _cell_array(bits_d, neg_d, bits_x, neg_x, exponents)
-    return entries, live, exponents
+    table = _pack_table(seq_len, exponents).reshape(-1)
+
+    start = first = 0  # the group's first job, and its first live job
+    for x, d, entries in zip(x64, d64, out):
+        g_live = live[start : start + x.shape[0]]
+        start += x.shape[0]
+        rows = slice(first, first + int(np.count_nonzero(g_live)))
+        first = rows.stop
+        if rows.start == rows.stop:
+            continue
+        if not all_live:
+            x, d = x[g_live], d[g_live]
+        bits_x, neg_x = encode_matrix(x, e_x[rows], words[0, rows])
+        bits_d, neg_d = encode_matrix(d, e_d[rows], words[1, rows])
+
+        # count: AND + popcount over the packed words of each stream pair
+        words_d = _stream_words(bits_d)
+        words_x = _stream_words(bits_x)
+        shape = words_d.shape[1:] + words_x.shape[-1:]
+        both = np.empty(shape, dtype=words_d.dtype)
+        ones = np.empty(shape, dtype=np.uint8)
+        np.bitwise_and(words_d[0][:, :, None], words_x[0][:, None, :], out=both)
+        counts = np.bitwise_count(both, out=np.empty(shape, dtype=np.uint16))
+        for wd, wx in zip(words_d[1:], words_x[1:]):
+            np.bitwise_and(wd[:, :, None], wx[:, None, :], out=both)
+            counts += np.bitwise_count(both, out=ones)
+
+        # pack: gather each entry from its job's row of the table, by sign and count
+        index = np.bitwise_xor(neg_d[:, :, None], neg_x[:, None, :])
+        index = index + np.arange(2 * rows.start, 2 * rows.stop, 2)[:, None, None]
+        index *= seq_len + 1
+        index += counts
+        if all_live:  # no copy: the gather stores into entries
+            np.take(table, index, out=entries, mode="clip")  # "raise" buffers out
+        else:
+            entries[g_live] = np.take(table, index)
+    return out, live, exponents
 
 
 def outer_product(job: OuterProductJob) -> UpdateMatrix:
     # the job checked its seeds when it was built, and it cannot change since
     seeds = np.array([[job.seed_x], [job.seed_delta]], dtype=np.uint16)
-    entries, live, exponents = _run_jobs(
-        job.x[None], job.delta[None], job.seq_len, seeds, job.lr
+    (entries,), live, exponents = _run_jobs(
+        [(job.x[None], job.delta[None])], job.seq_len, seeds, job.lr
     )
     if not live[0]:
         return UpdateMatrix(entries[0], 0, None)
@@ -231,8 +250,23 @@ def outer_product_many(
     rng_draws counts only non-short-circuited jobs.
     """
     xs, deltas, seeds = _checked_jobs(xs, deltas, seq_len, seeds_x, seeds_delta, lr)
-    entries, live, _ = _run_jobs(xs, deltas, seq_len, seeds, lr)
+    (entries,), live, _ = _run_jobs([(xs, deltas)], seq_len, seeds, lr)
     return entries, 2 * seq_len * int(np.count_nonzero(live))
+
+
+def outer_product_groups(groups, seq_len: int, seeds: np.ndarray, lr: float | None = None):
+    """Run groups of jobs whose shapes differ, such as a training step's layers, in one pass.
+
+    groups is a nonempty list of (xs, deltas) pairs as outer_product_many
+    takes them; seeds is (2, B) from check_seed_pairs, one column per job in
+    group order. Operands are checked on every call, seed pairs only where
+    they were planned. Returns each group's entries, bit-identical per job
+    to outer_product_many.
+    """
+    groups = _checked_groups(groups, seq_len, lr)
+    if not groups or np.shape(seeds) != (2, sum(xs.shape[0] for xs, _ in groups)):
+        raise ContractError("need a group of jobs or more, and one seed pair per job")
+    return _run_jobs(groups, seq_len, seeds, lr)[0]
 
 
 def apply_update(
@@ -302,14 +336,16 @@ def derive_seed_pairs(base_x: int, base_delta: int, counters):
     nonzero word; a delta seed that equals its x seed is rehashed until
     they differ.
     """
-    bases = np.array([check_seeds(b, "base seed") for b in (base_x, base_delta)], np.uint64)
+    bases = check_seeds([base_x, base_delta], "base seed").astype(np.uint64)
     bases <<= np.uint64(48)
     counters = np.asarray(counters)
-    if counters.dtype.kind not in "iuO":  # object: Python ints too wide for int64
+    wide = counters.dtype == object  # Python ints too wide for int64, or not ints at all
+    if not (counters.dtype.kind in "iu"
+            or wide and all(isinstance(c, (int, np.integer)) for c in counters.flat)):
         raise DomainError(f"counters must be integers, got dtype {counters.dtype}")
     if (counters < 0).any():
         raise DomainError("counter must be nonnegative")
-    if counters.dtype == object:
+    if wide:
         counters = counters & _COUNTER_MASK
     masked = counters.astype(np.uint64) & np.uint64(_COUNTER_MASK)
     z = _mix64(np.stack((masked | bases[0], masked | bases[1])))

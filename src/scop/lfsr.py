@@ -64,9 +64,13 @@ def check_seeds(seeds, name: str = "seed") -> np.ndarray:
     """Seeds as uint16; SeedError naming name unless each is an integer in 1..0xFFFF.
 
     Floats are rejected, not truncated, and so are the object arrays numpy
-    builds for Python ints too wide for int64.
+    builds for Python ints too wide for int64. A list or tuple that numpy
+    cannot hold as integers is judged one element at a time, so a uint64
+    beside a signed integer (which numpy promotes to float64) passes.
     """
     values = np.asarray(seeds)
+    if values.dtype.kind not in "iu" and isinstance(seeds, (list, tuple)):
+        return np.array([check_seeds(s, name) for s in seeds], dtype=np.uint16)
     flat = values.reshape(-1)
     if values.dtype.kind in "iu":
         bad = (flat < 1) | (flat > 0xFFFF)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .datasets import Dataset, generate_two_moons, load_digits_csv
 from .encoder import MAX_SEQ_LEN
-from .engine import apply_update, derive_seed_pairs, outer_product_many
+from .engine import apply_update, check_seed_pairs, derive_seed_pairs, outer_product_groups
 from .errors import DomainError, is_int
 from .formats import read_text
 from .lfsr import check_seeds
@@ -203,16 +203,24 @@ def train(config: TrainingConfig) -> RunMetrics:
     y_train = data.y_train
     n_train = x_train.shape[0]
 
-    velocities_w = [None] * len(model.weights)
-    velocities_b = [None] * len(model.biases)
+    n_layers = len(model.weights)
+    velocities_w = [None] * n_layers
+    velocities_b = [None] * n_layers
     base_x = config.seed_sc
     base_d = (config.seed_sc ^ 0xA5A5) or 0xA5A5
+    folded = config.lr_folded and kind == "stochastic"
     job_counter = 0
 
     metrics = RunMetrics(mode=config.mode)
     for epoch in range(config.epochs):
         lr = _lr_at(config, epoch)
         order = shuffle_rng.permutation(n_train)
+        if kind == "stochastic":
+            # one seed pair per job: sample i of the step at lo takes counter
+            # job_counter + lo * n_layers + layer * b + i in layer `layer`
+            counters = job_counter + np.arange(n_train * n_layers)
+            plan = check_seed_pairs(*derive_seed_pairs(base_x, base_d, counters))
+            job_counter += counters.size
         epoch_loss = 0.0
         epoch_hits = 0
         for lo in range(0, n_train, config.batch_size):
@@ -229,33 +237,29 @@ def train(config: TrainingConfig) -> RunMetrics:
                 metrics.diverged = True
                 break
             deltas = model.backward(zs, grad64.astype(np.float16))
+            layers = list(zip(acts, deltas))  # (input, error) per layer
 
-            for layer in range(len(model.weights)):
-                a_in = acts[layer]
-                d_out = deltas[layer]
-                folded = config.lr_folded and kind == "stochastic"
-                if kind == "exact":
-                    grad_w = (
-                        d_out.astype(np.float64).T @ a_in.astype(np.float64) / b
-                    ).astype(np.float16)
-                else:
-                    sx, sd = derive_seed_pairs(
-                        base_x, base_d, job_counter + np.arange(b)
-                    )
-                    job_counter += b
-                    try:
-                        entries, _ = outer_product_many(
-                            a_in, d_out, seq_len, sx, sd, lr if folded else None
-                        )
-                    except DomainError:
-                        # seq_len, seeds and lr are valid by construction, so
-                        # a layer operand overflowed to inf or NaN
-                        metrics.diverged = True
-                        break
-                    total = np.sum(entries, axis=0, dtype=np.float16)
-                    grad_w = total * np.float16(1.0 / b)
-                grad_b = d_out.astype(np.float64).mean(axis=0).astype(np.float16)
+            if kind == "exact":
+                grads_w = [
+                    (d.astype(np.float64).T @ a.astype(np.float64) / b).astype(np.float16)
+                    for a, d in layers
+                ]
+            else:
+                # a layer operand that overflowed to inf or NaN ends the fit;
+                # the layers before it still update
+                n_finite = next((k for k, (a, d) in enumerate(layers)
+                                 if not (np.isfinite(a).all() and np.isfinite(d).all())),
+                                n_layers)
+                metrics.diverged = n_finite < n_layers
+                seeds = plan[:, lo * n_layers : lo * n_layers + n_finite * b]
+                updates = outer_product_groups(
+                    layers[:n_finite], seq_len, seeds, lr if folded else None
+                ) if n_finite else []
+                grads_w = [np.sum(e, axis=0, dtype=np.float16) * np.float16(1.0 / b)
+                           for e in updates]
 
+            for layer, grad_w in enumerate(grads_w):
+                grad_b = deltas[layer].astype(np.float64).mean(axis=0).astype(np.float16)
                 model.weights[layer], velocities_w[layer] = apply_update(
                     model.weights[layer], grad_w, lr, folded,
                     config.momentum, velocities_w[layer],

@@ -229,6 +229,24 @@ def test_matrix_rejects_a_non_finite_operand(bad):
         encode_matrix(np.array([bad, 0.5]), 0, words)  # NaN once encoded as an empty stream
 
 
+@pytest.mark.parametrize("exponent", [-24, -15, -1, 0, 5, 16])
+def test_matrix_levels_match_the_threshold_rule_on_every_float16(exponent):
+    """Every binary16 magnitude up to 2^E against the extreme and 62 other words."""
+    mags = np.arange(0x7C00, dtype=np.uint16).view(np.float16).astype(np.float64)
+    mags = mags[mags <= 2.0**exponent]
+    words = np.concatenate(([1, 0xFFFF], word_matrix([0xACE1], 62)[0]))
+    bits, _ = encode_matrix(mags, exponent, words)
+    assert (bits == (mags[:, None] >= np.ldexp(words.astype(np.float64), exponent - 16))).all()
+
+
+def test_matrix_rejects_a_zero_word():
+    """The generator never emits 0; against it a zero operand would fire every event."""
+    words = word_matrix([0x7777], 8)[0]
+    words[3] = 0
+    with pytest.raises(DomainError, match="nonzero"):
+        encode_matrix(np.array([0.0, 0.5]), 0, words)
+
+
 def test_matrix_batch_checks_each_job_against_its_own_exponent():
     words = word_matrix(np.array([1, 2]), 8)
     with pytest.raises(DomainError):

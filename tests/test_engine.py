@@ -13,11 +13,13 @@ from scop.engine import (
     OuterProductJob,
     UpdateMatrix,
     apply_update,
+    check_seed_pairs,
     conv_weight_update,
     derive_seed,
     derive_seed_pair,
     derive_seed_pairs,
     outer_product,
+    outer_product_groups,
     outer_product_many,
     _pack_table,
 )
@@ -205,6 +207,46 @@ def test_batch_validation():
         )  # pairwise identical seed
     with pytest.raises(DomainError):
         outer_product_many(xs, xs, 16, np.array([0, 2]), np.array([3, 4]))
+
+
+@pytest.mark.parametrize("lr", [None, 0.05])
+def test_groups_match_a_batch_per_group(lr):
+    """A training step's layers in one call: shapes differ, some jobs are all zero."""
+    rng = np.random.default_rng(21)
+    shapes = ((7, 2, 16), (7, 16, 2), (3, 5, 1))  # (jobs, n_x, n_d) per group
+    groups = [
+        (rng.uniform(-2, 2, (b, n_x)).astype(np.float16),
+         rng.uniform(-0.5, 0.5, (b, n_d)).astype(np.float16))
+        for b, n_x, n_d in shapes
+    ]
+    groups[0][0][3] = 0  # a short-circuited job in the first group
+    groups[2][1][:] = 0  # and a group with no live job
+    sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, np.arange(17))
+    out = outer_product_groups(groups, 24, check_seed_pairs(sx, sd), lr)
+    lo = 0
+    for (xs, ds), entries in zip(groups, out):
+        hi = lo + len(xs)
+        want, _ = outer_product_many(xs, ds, 24, sx[lo:hi], sd[lo:hi], lr)
+        assert np.array_equal(entries.view(np.uint16), want.view(np.uint16))
+        lo = hi
+    assert not out[2].any()
+
+
+def test_groups_reject_bad_operands_every_call():
+    x = np.full((2, 3), 0.5, dtype=np.float16)
+    seeds = check_seed_pairs([1, 2, 3, 4], [5, 6, 7, 8])
+    bad = x.copy()
+    bad[1, 2] = np.inf
+    with pytest.raises(DomainError, match="finite"):
+        outer_product_groups([(x, x), (x, bad)], 16, seeds)
+    with pytest.raises(ContractError):
+        outer_product_groups([(x, x)], 16, seeds)  # four seed pairs for two jobs
+    with pytest.raises(ContractError):
+        outer_product_groups([], 16, seeds[:, :0])
+    with pytest.raises(DomainError):
+        outer_product_groups([(x, x), (x, x)], 16, seeds, lr=math.nan)
+    with pytest.raises(DomainError):
+        check_seed_pairs([1, 2], [3, 2])  # the two seeds of a job must differ
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,26 @@ def test_seed_groups_of_different_integer_types_are_checked_apart():
     assert _bits(outer_product(job).entries) == _bits(want[0])
 
 
+def test_a_mixed_seed_list_is_judged_element_by_element():
+    # numpy promotes [uint64, int64] to float64, once rejected as "got 1.0"
+    assert check_seeds([np.uint64(1), np.int64(3)]).tolist() == [1, 3]
+    xs = np.tile(X, (2, 1))
+    entries, _ = outer_product_many(xs, xs, 16, [np.uint64(1), np.int64(3)], [2, 4])
+    assert _bits(entries) == _bits(outer_product_many(xs, xs, 16, [1, 3], [2, 4])[0])
+    with pytest.raises(SeedError, match="got 1.5"):
+        check_seeds([np.uint64(1), 1.5])
+    with pytest.raises(SeedError, match="got 0x10000"):
+        check_seeds((np.uint64(1), np.int64(0x10000)))
+
+
+def test_a_non_integer_among_wide_counters_is_rejected():
+    with pytest.raises(DomainError, match="integer"):
+        derive_seed_pairs(1, 2, [2**70, 1.5])  # once a bare TypeError
+    assert _bits(derive_seed_pairs(1, 2, [2**70 + 5, 3])) == _bits(
+        derive_seed_pairs(1, 2, [5, 3])
+    )
+
+
 @pytest.mark.parametrize("derive", [
     lambda c: derive_seed_pairs(0xACE1, 0x2C9F, [c]),
     lambda c: derive_seed(0xACE1, c),  # 1.5 once gave counter 1's seed

@@ -236,6 +236,46 @@ def test_non_finite_layer_error_ends_fit_diverged(monkeypatch, mode):
     assert metrics.diverged
 
 
+class _LastLayerOverflow(Mlp):
+    """A net whose output layer's error is inf while the earlier layers' stay finite."""
+
+    def backward(self, zs, delta_out):
+        deltas = super().backward(zs, delta_out)
+        deltas[-1] = deltas[-1].copy()
+        deltas[-1][0, 0] = np.inf
+        return deltas
+
+
+@pytest.mark.parametrize("net, updated", [
+    (_OverflowingBackward, []),  # layer 0's error overflows: nothing updates
+    (_LastLayerOverflow, [0]),  # layer 1's input is inf: layer 0 still updates
+])
+def test_diverging_step_updates_the_layers_before_the_first_non_finite_one(
+    monkeypatch, net, updated
+):
+    models = []
+    before = []  # the parameters as each step's forward pass found them
+
+    class Kept(net):
+        def __init__(self, *args):
+            super().__init__(*args)
+            models.append(self)
+
+        def forward(self, x):
+            before.append([p.copy() for p in self.weights + self.biases])
+            return super().forward(x)
+
+    monkeypatch.setattr(train_module, "Mlp", Kept)
+    metrics = train(_tiny("stochastic(16)"))
+    assert metrics.diverged and not metrics.epochs
+    model = models[-1]
+    after = model.weights + model.biases
+    n = len(model.weights)
+    for k, (old, new) in enumerate(zip(before[-1], after)):
+        changed = not np.array_equal(old.view(np.uint16), new.view(np.uint16))
+        assert changed == (k % n in updated), k
+
+
 def test_load_config_rejects_non_utf8_bytes(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_bytes(b"epochs = 2\nmode = exact\xff\n")
