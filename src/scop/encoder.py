@@ -42,8 +42,8 @@ class StochasticSequence:
     seq_len: int
 
     def __post_init__(self):
-        if self.seq_len < 1:
-            raise DomainError("seq_len must be at least 1")
+        if not is_int(self.seq_len, 1):
+            raise DomainError(f"seq_len must be an integer of at least 1, got {self.seq_len!r}")
         if self.sign not in (0, 1):
             raise DomainError("sign must be 0 or 1")
         if not 0 <= self.bits < (1 << self.seq_len):

@@ -6,7 +6,7 @@ of x sees the same seq_len words, every element of delta sees the other
 seq_len words. Entry (j, i) of the update is the unit-cell product of
 delta_j and x_i, so a full N_D x N_X matrix costs 2 * seq_len draws total.
 A job whose x or delta is all zeros short-circuits to the zero matrix and
-draws nothing.
+draws nothing. The core returns the draw count that every caller reports.
 
 Single jobs, batches, conv updates and a training step's layers share one
 core. It takes groups of jobs of one shape each (a step has one per layer)
@@ -70,15 +70,13 @@ class OuterProductJob:
 
 def _checked_jobs(xs, deltas, seq_len, seeds_x, seeds_delta, lr):
     """Check one batch; return its float16 operands and (2, B) uint16 seeds, x seeds first."""
-    [(xs, deltas)] = _checked_groups([(xs, deltas)], seq_len, lr)
     seeds = check_seed_pairs(seeds_x, seeds_delta)
-    if seeds.shape[1:] != xs.shape[:1]:
-        raise ContractError("need one seed_x and one seed_delta per job")
+    [(xs, deltas)] = _checked_groups([(xs, deltas)], seq_len, seeds, lr)
     return xs, deltas, seeds
 
 
-def _checked_groups(groups, seq_len, lr):
-    """Check (B, n_x) and (B, n_d) operand pairs, seq_len and lr; return the pairs as float16."""
+def _checked_groups(groups, seq_len, seeds, lr):
+    """Check (B, n_x), (B, n_d) operand pairs, the (2, sum B) seed shape, seq_len and lr."""
     checked = []
     for xs, deltas in groups:
         xs = np.asarray(xs, dtype=np.float16)
@@ -90,6 +88,8 @@ def _checked_groups(groups, seq_len, lr):
         if not (np.isfinite(xs).all() and np.isfinite(deltas).all()):
             raise DomainError("x and delta entries must be finite")
         checked.append((xs, deltas))
+    if not checked or seeds.shape != (2, sum(xs.shape[0] for xs, _ in checked)):
+        raise ContractError("need a group of jobs or more, and one seed pair per job")
     check_seq_len(seq_len)
     if lr is not None and not (math.isfinite(lr) and lr > 0):
         raise DomainError("lr must be finite and positive")
@@ -100,7 +100,10 @@ def check_seed_pairs(seeds_x, seeds_delta) -> np.ndarray:
     """(2, B) uint16 seeds, x seeds in row 0: each a valid seed, the two of a job distinct."""
     if np.ndim(seeds_x) != 1 or np.shape(seeds_x) != np.shape(seeds_delta):
         raise ContractError("need one seed_x and one seed_delta per job")
-    seeds = check_seeds([seeds_x, seeds_delta])
+    return _distinct_pairs(check_seeds([seeds_x, seeds_delta]))
+
+
+def _distinct_pairs(seeds: np.ndarray) -> np.ndarray:
     if (seeds[0] == seeds[1]).any():
         raise DomainError("seed_x and seed_delta must differ within each job")
     return seeds
@@ -162,12 +165,13 @@ def _pack_table(seq_len: int, exponents) -> np.ndarray:
 
 
 def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
-    """The engine core: groups of checked jobs -> (entries per group, live, scale exponents).
+    """The engine core: groups of checked jobs -> (entries per group, draws, scale exponents).
 
     Group g is a float16 (xs, deltas) pair, (B_g, n_x) and (B_g, n_d); seeds
     is (2, sum B_g), one column per job in group order. Entries are
-    (B_g, n_d, n_x) binary16. live marks the jobs whose operands are both
-    nonzero, the only ones that draw words; the exponents are the live jobs'.
+    (B_g, n_d, n_x) binary16. Only live jobs, whose operands are both
+    nonzero, draw words: draws is 2 * seq_len per live job, and the
+    exponents are the live jobs', None when no job is live.
     """
     # order "K" would copy broadcast rows F-ordered
     x64 = [xs.astype(np.float64, order="C") for xs, _ in groups]
@@ -176,8 +180,9 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
                       for vs in (x64, d64)])
     live = peaks.all(axis=0)
     out = [np.zeros((x.shape[0], d.shape[1], x.shape[1]), np.float16) for x, d in zip(x64, d64)]
-    if not live.any():
-        return out, live, None
+    draws = 2 * seq_len * int(np.count_nonzero(live))
+    if not draws:
+        return out, 0, None
 
     all_live = live.all()
     jobs = slice(None) if all_live else live  # a mask copies, a slice does not
@@ -220,18 +225,17 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
             np.take(table, index, out=entries, mode="clip")  # "raise" buffers out
         else:
             entries[g_live] = np.take(table, index)
-    return out, live, exponents
+    return out, draws, exponents
 
 
 def outer_product(job: OuterProductJob) -> UpdateMatrix:
     # the job checked its seeds when it was built, and it cannot change since
     seeds = np.array([[job.seed_x], [job.seed_delta]], dtype=np.uint16)
-    (entries,), live, exponents = _run_jobs(
+    (entries,), draws, exponents = _run_jobs(
         [(job.x[None], job.delta[None])], job.seq_len, seeds, job.lr
     )
-    if not live[0]:
-        return UpdateMatrix(entries[0], 0, None)
-    return UpdateMatrix(entries[0], 2 * job.seq_len, PowerOfTwoScale(int(exponents[0])))
+    scale = PowerOfTwoScale(int(exponents[0])) if draws else None
+    return UpdateMatrix(entries[0], draws, scale)
 
 
 def outer_product_many(
@@ -250,8 +254,8 @@ def outer_product_many(
     rng_draws counts only non-short-circuited jobs.
     """
     xs, deltas, seeds = _checked_jobs(xs, deltas, seq_len, seeds_x, seeds_delta, lr)
-    (entries,), live, _ = _run_jobs([(xs, deltas)], seq_len, seeds, lr)
-    return entries, 2 * seq_len * int(np.count_nonzero(live))
+    (entries,), draws, _ = _run_jobs([(xs, deltas)], seq_len, seeds, lr)
+    return entries, draws
 
 
 def outer_product_groups(groups, seq_len: int, seeds: np.ndarray, lr: float | None = None):
@@ -259,14 +263,13 @@ def outer_product_groups(groups, seq_len: int, seeds: np.ndarray, lr: float | No
 
     groups is a nonempty list of (xs, deltas) pairs as outer_product_many
     takes them; seeds is (2, B) from check_seed_pairs, one column per job in
-    group order. Operands are checked on every call, seed pairs only where
-    they were planned. Returns each group's entries, bit-identical per job
-    to outer_product_many.
+    group order. Every call checks the operands and that each job has two
+    distinct seeds, and word_matrix the seeds it draws from. Returns each
+    group's entries, bit-identical per job to outer_product_many.
     """
-    groups = _checked_groups(groups, seq_len, lr)
-    if not groups or np.shape(seeds) != (2, sum(xs.shape[0] for xs, _ in groups)):
-        raise ContractError("need a group of jobs or more, and one seed pair per job")
-    return _run_jobs(groups, seq_len, seeds, lr)[0]
+    seeds = np.asarray(seeds)
+    groups = _checked_groups(groups, seq_len, seeds, lr)
+    return _run_jobs(groups, seq_len, _distinct_pairs(seeds), lr)[0]
 
 
 def apply_update(
@@ -386,7 +389,6 @@ def conv_weight_update(
         raise DomainError("need at least one position")
     sx, sd = derive_seed_pairs(base_seed_x, base_seed_delta, np.arange(positions))
     entries, draws = outer_product_many(activations, gradients, seq_len, sx, sd, lr)
-    acc = np.zeros(entries.shape[1:], dtype=np.float16)
-    for update in entries:  # position-major: np.sum(axis=0) may add in another order
-        acc = (acc + update).astype(np.float16)
+    # in position order (np.sum may reorder); + 0 sums from +0, so all -0 cells give +0
+    acc = np.add.accumulate(entries, axis=0)[-1] + np.float16(0)
     return UpdateMatrix(acc, draws, None)

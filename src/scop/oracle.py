@@ -198,7 +198,8 @@ def encode_value(value: float) -> int:
 
     Magnitudes above the max finite (65504) go to signed infinity,
     small magnitudes round gradually into the subnormal range, and
-    -0.0 is preserved. NaN encodes to a quiet NaN.
+    -0.0 is preserved. NaN keeps its sign and the top ten payload bits,
+    an all-zero top becoming 1 so it stays a NaN: numpy's float16 cast.
     """
     (d,) = struct.unpack("<Q", struct.pack("<d", value))
     h_sign = (d >> 48) & SIGN_MASK
@@ -207,13 +208,9 @@ def encode_value(value: float) -> int:
     if d_exp >= 0x40F0_0000_0000_0000:  # unbiased exponent >= 16
         if d_exp == _D_EXP_MASK:
             d_frac = d & _D_FRAC_MASK
-            if d_frac:  # NaN: keep the top payload bits, force quiet
-                h = 0x7C00 | (d_frac >> 42)
-                if h == 0x7C00:
-                    h |= 0x0200
-                return h_sign | h
-            return h_sign | POS_INF_BITS
-        return h_sign | POS_INF_BITS  # overflow
+            if d_frac:  # NaN
+                return h_sign | POS_INF_BITS | ((d_frac >> 42) or 1)
+        return h_sign | POS_INF_BITS  # infinity, or overflow
 
     if d_exp <= 0x3F00_0000_0000_0000:  # unbiased exponent <= -15: subnormal range
         if d_exp < 0x3E60_0000_0000_0000:  # magnitude < 2^-25: rounds to zero

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .datasets import Dataset, generate_two_moons, load_digits_csv
-from .encoder import MAX_SEQ_LEN
+from .encoder import check_seq_len
 from .engine import apply_update, check_seed_pairs, derive_seed_pairs, outer_product_groups
 from .errors import DomainError, is_int
 from .formats import read_text
@@ -41,10 +41,10 @@ def parse_mode(mode: str) -> tuple[str, int | None]:
     m = _MODE_RE.match(mode)
     if m:
         seq_len = int(m.group(1))
-        if not 1 <= seq_len <= MAX_SEQ_LEN:
-            raise DomainError(
-                f"mode: stream length must be in [1, {MAX_SEQ_LEN}], got {seq_len}"
-            )
+        try:
+            check_seq_len(seq_len)
+        except DomainError as exc:
+            raise DomainError(f"mode: {exc}") from None
         return "stochastic", seq_len
     raise DomainError(f"mode: expected 'exact' or 'stochastic(M)', got {mode!r}")
 
@@ -209,7 +209,6 @@ def train(config: TrainingConfig) -> RunMetrics:
     base_x = config.seed_sc
     base_d = (config.seed_sc ^ 0xA5A5) or 0xA5A5
     folded = config.lr_folded and kind == "stochastic"
-    job_counter = 0
 
     metrics = RunMetrics(mode=config.mode)
     for epoch in range(config.epochs):
@@ -217,10 +216,9 @@ def train(config: TrainingConfig) -> RunMetrics:
         order = shuffle_rng.permutation(n_train)
         if kind == "stochastic":
             # one seed pair per job: sample i of the step at lo takes counter
-            # job_counter + lo * n_layers + layer * b + i in layer `layer`
-            counters = job_counter + np.arange(n_train * n_layers)
+            # (epoch * n_train + lo) * n_layers + layer * b + i in layer `layer`
+            counters = epoch * n_train * n_layers + np.arange(n_train * n_layers)
             plan = check_seed_pairs(*derive_seed_pairs(base_x, base_d, counters))
-            job_counter += counters.size
         epoch_loss = 0.0
         epoch_hits = 0
         for lo in range(0, n_train, config.batch_size):

@@ -4,6 +4,7 @@ The product of two encoded operands is popcount(a & b) scaled by a
 power-of-two factor, with sign a one-bit XOR. Because the scale is a power
 of two, the result is packed into a binary16 word by placing the popcount in
 the significand field and adding exponents; no multiplier participates.
+shift_pack returns the one cell record, UnitCellResult, count and sign included.
 
 The combined scale for an outer product of vectors normalized by 2^E_X and
 2^E_D over seq_len events is 2^(E_X + E_D) / seq_len, folded down to the
@@ -25,12 +26,15 @@ from .encoder import MAX_SEQ_LEN, StochasticSequence, check_seq_len
 def scale_exponents(e_x, e_delta, seq_len: int, lr: float | None = None) -> np.ndarray:
     """Elementwise exponent of floor-pow2(lr * 2^(e_x + e_delta) / seq_len); lr None is 1.
 
-    DomainError unless every scale is positive and finite, so also for an lr
-    that is not, or one so small the scale underflows to zero.
+    DomainError naming lr unless every scale is positive and finite, so also
+    for an lr that is not, or one so small the scale underflows to zero.
     """
     check_seq_len(seq_len)
     mantissa = 1.0 if lr is None else lr
-    return floor_exponents(np.ldexp(mantissa, e_x + e_delta) / seq_len)
+    try:
+        return floor_exponents(np.ldexp(mantissa, e_x + e_delta) / seq_len)
+    except DomainError as exc:
+        raise DomainError(f"scale at lr = {mantissa!r}: {exc}") from None
 
 
 def f_scale(e_x: int, e_delta: int, seq_len: int) -> PowerOfTwoScale:
@@ -44,9 +48,11 @@ def f_scale_with_lr(lr: float, e_x: int, e_delta: int, seq_len: int) -> PowerOfT
 
 
 @dataclass(frozen=True)
-class Packed:
-    """A binary16 word assembled by field manipulation, plus range flags."""
+class UnitCellResult:
+    """One cell's output: its popcount and sign, the packed binary16 word and range flags."""
 
+    count: int
+    sign: int
     bits: int
     overflow: bool = False
     underflow: bool = False
@@ -56,7 +62,7 @@ class Packed:
         return decode_bits(self.bits)
 
 
-def shift_pack(sign: int, count: int, scale: PowerOfTwoScale) -> Packed:
+def shift_pack(sign: int, count: int, scale: PowerOfTwoScale) -> UnitCellResult:
     """Pack sign * count * scale into binary16 without multiplying.
 
     count's leading-one position sets the exponent field; the remaining bits
@@ -70,13 +76,13 @@ def shift_pack(sign: int, count: int, scale: PowerOfTwoScale) -> Packed:
     if not 0 <= count <= MAX_SEQ_LEN:
         raise DomainError(f"count must be in [0, {MAX_SEQ_LEN}], got {count}")
     if count == 0:
-        return Packed(0x0000)  # positive zero regardless of sign
+        return UnitCellResult(0, sign, 0x0000)  # positive zero regardless of sign
 
     n = count.bit_length()
     unbiased = scale.exponent + n - 1
     biased = unbiased + 15
     if biased >= 31:
-        return Packed((sign << 15) | MAX_FINITE_BITS, overflow=True)
+        return UnitCellResult(count, sign, (sign << 15) | MAX_FINITE_BITS, overflow=True)
 
     if biased >= 1:
         # normal: align count's leading one to the implicit-one slot
@@ -85,31 +91,18 @@ def shift_pack(sign: int, count: int, scale: PowerOfTwoScale) -> Packed:
             frac = (count << shift) & 0x3FF
         else:
             frac = (count >> -shift) & 0x3FF  # only count = 2048; dropped bit is 0
-        return Packed((sign << 15) | (biased << 10) | frac)
+        return UnitCellResult(count, sign, (sign << 15) | (biased << 10) | frac)
 
     # subnormal: significand is count * 2^(e_scale + 24) on the 2^-24 grid
     k = -(scale.exponent + 24)
     if k <= 0:
-        return Packed((sign << 15) | (count << -k))
+        return UnitCellResult(count, sign, (sign << 15) | (count << -k))
     m = count >> k
     rem = count & ((1 << k) - 1)
     half = 1 << (k - 1)
     if rem > half or (rem == half and (m & 1)):
         m += 1  # ties to even; m = 1024 lands on the smallest normal encoding
-    return Packed((sign << 15) | m, underflow=rem != 0)
-
-
-@dataclass(frozen=True)
-class UnitCellResult:
-    count: int
-    sign: int
-    bits: int
-    overflow: bool = False
-    underflow: bool = False
-
-    @property
-    def value(self) -> float:
-        return decode_bits(self.bits)
+    return UnitCellResult(count, sign, (sign << 15) | m, underflow=rem != 0)
 
 
 def unit_cell_multiply(
@@ -121,7 +114,4 @@ def unit_cell_multiply(
             f"sequence length mismatch: {a.seq_len} vs {b.seq_len}"
         )
     check_seq_len(a.seq_len)
-    count = (a.bits & b.bits).bit_count()
-    sign = a.sign ^ b.sign
-    packed = shift_pack(sign, count, scale)
-    return UnitCellResult(count, sign, packed.bits, packed.overflow, packed.underflow)
+    return shift_pack(a.sign ^ b.sign, (a.bits & b.bits).bit_count(), scale)

@@ -253,3 +253,9 @@ def test_matrix_batch_checks_each_job_against_its_own_exponent():
         encode_matrix(np.array([[0.5], [1.5]]), np.array([0, 0]), words)
     bits, _ = encode_matrix(np.array([[0.5], [1.5]]), np.array([0, 1]), words)
     assert bits.shape == (2, 1, 8)
+
+
+@pytest.mark.parametrize("seq_len", [2.0, 0, "4", None])
+def test_sequence_length_must_be_a_positive_integer(seq_len):
+    with pytest.raises(DomainError):
+        StochasticSequence(1, 0, seq_len)  # 2.0 once raised a bare TypeError

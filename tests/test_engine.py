@@ -509,3 +509,84 @@ def test_conv_weight_update_with_a_zero_position_and_folded_lr():
         ref = outer_product(OuterProductJob(acts[p], grads[p], 24, sx, sd, lr=0.05))
         acc = (acc + ref.entries).astype(np.float16)
     assert np.array_equal(out.entries.view(np.uint16), acc.view(np.uint16))
+
+
+def test_groups_check_their_seed_pairs_every_call():
+    x = np.array([[0.5, -0.25, 0.75]], dtype=np.float16)
+    with pytest.raises(DomainError, match="must differ") as err:
+        outer_product_groups([(x, x)], 16, np.array([[7], [7]], dtype=np.uint16))
+    with pytest.raises(DomainError) as want:
+        check_seed_pairs([7], [7])
+    assert str(err.value) == str(want.value)
+
+    (entries,) = outer_product_groups([(x, x)], 16, [[7], [9]])  # once a bare TypeError
+    want, _ = outer_product_many(x, x, 16, [7], [9])
+    assert np.array_equal(entries.view(np.uint16), want.view(np.uint16))
+
+
+def test_batch_and_groups_share_one_seed_count_check():
+    xs = np.full((2, 2), 0.5, dtype=np.float16)
+    with pytest.raises(ContractError) as many:
+        outer_product_many(xs, xs, 16, [1], [3])
+    with pytest.raises(ContractError) as groups:
+        outer_product_groups([(xs, xs)], 16, [[1], [3]])
+    assert str(many.value) == str(groups.value)
+
+
+def _per_job(xs, ds, seq_len, sx, sd, lr):
+    """Each job through outer_product: (B, n_d, n_x) bits and the total draws."""
+    jobs = [outer_product(OuterProductJob(x, d, seq_len, int(a), int(b), lr))
+            for x, d, a, b in zip(xs, ds, sx, sd)]
+    bits = np.stack([job.entries for job in jobs]).view(np.uint16)
+    return bits, sum(job.rng_draws for job in jobs)
+
+
+@pytest.mark.parametrize("lr", [None, 0.05])
+def test_dead_jobs_at_the_start_of_a_batch(lr):
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-2, 2, (6, 5)).astype(np.float16)
+    ds = rng.uniform(-0.5, 0.5, (6, 3)).astype(np.float16)
+    xs[0] = 0
+    ds[1] = 0  # the first two jobs are dead
+    sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, np.arange(6))
+    want, want_draws = _per_job(xs, ds, 24, sx, sd, lr)
+    entries, draws = outer_product_many(xs, ds, 24, sx, sd, lr)
+    assert np.array_equal(entries.view(np.uint16), want)
+    assert draws == want_draws == 2 * 24 * 4
+    (entries,) = outer_product_groups([(xs, ds)], 24, check_seed_pairs(sx, sd), lr)
+    assert np.array_equal(entries.view(np.uint16), want)
+
+
+@pytest.mark.parametrize("lr", [None, 0.05])
+def test_a_dead_group_before_live_groups(lr):
+    rng = np.random.default_rng(4)
+    shapes = ((3, 4, 2), (4, 2, 6), (2, 3, 3))  # (jobs, n_x, n_d) per group
+    groups = [
+        (rng.uniform(-2, 2, (b, n_x)).astype(np.float16),
+         rng.uniform(-0.5, 0.5, (b, n_d)).astype(np.float16))
+        for b, n_x, n_d in shapes
+    ]
+    groups[0][1][:] = 0  # no live job in the first group
+    groups[2][0][0] = 0  # and a dead job opening the last one
+    sx, sd = derive_seed_pairs(0x1111, 0x2222, np.arange(9))
+    out = outer_product_groups(groups, 16, check_seed_pairs(sx, sd), lr)
+    lo = 0
+    for (xs, ds), entries in zip(groups, out):
+        hi = lo + len(xs)
+        want, _ = _per_job(xs, ds, 16, sx[lo:hi], sd[lo:hi], lr)
+        assert np.array_equal(entries.view(np.uint16), want)
+        many, _ = outer_product_many(xs, ds, 16, sx[lo:hi], sd[lo:hi], lr)
+        assert np.array_equal(many.view(np.uint16), want)
+        lo = hi
+
+
+def test_conv_weight_update_sums_from_positive_zero():
+    """A negative cell that underflows packs -0; the position sum starts from +0."""
+    acts = np.array([[2.0**-14], [2.0**-14]], dtype=np.float16)
+    grads = np.array([[-2.0**-14], [-2.0**-14]], dtype=np.float16)
+    sx, sd = derive_seed_pairs(1, 2, np.arange(2))
+    entries, _ = outer_product_many(acts, grads, 16, sx, sd)
+    assert entries.view(np.uint16).tolist() == [[[0x8000]], [[0x8000]]]
+    for positions in (1, 2):
+        out = conv_weight_update(acts[:positions], grads[:positions], 16, 1, 2)
+        assert out.entries.view(np.uint16).tolist() == [[0x0000]]

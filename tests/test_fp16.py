@@ -156,3 +156,34 @@ def test_array_exponents_reject_any_bad_element(bad):
     for fn in (ceil_exponents, floor_exponents):
         with pytest.raises(DomainError, match=repr(bad)):
             fn(np.array([0.5, bad, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "bits, want",
+    [
+        (0x7FF0_0400_0000_0000, 0x7C01),  # only payload bit 42: kept as is
+        (0x7FF0_0000_0000_0001, 0x7C01),  # top ten payload bits zero: becomes 1
+        (0xFFF0_0000_0000_0001, 0xFC01),  # the sign stays
+        (0x7FF8_0000_0000_0000, 0x7E00),  # the quiet bit is payload too
+        (0xFFFF_FFFF_FFFF_FFFF, 0xFFFF),
+    ],
+)
+def test_encode_nan_keeps_numpys_payload_rule(bits, want):
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    assert encode_value(x) == want
+    assert int(np.float64(x).astype(np.float16).view(np.uint16)) == want
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        (2.0**-25, 0x0000),  # exactly half the smallest subnormal: ties to even
+        (2.0**-25 * (1 + 2.0**-52), 0x0001),  # the sticky bit breaks the tie upward
+        (-(2.0**-25) * (1 + 2.0**-52), 0x8001),
+        (2.0**-24 * (1 + 2.0**-50), 0x0001),
+        (3 * 2.0**-25 * (1 - 2.0**-52), 0x0001),  # just below 1.5 ulp rounds down
+    ],
+)
+def test_encode_subnormal_sticky_bit(x, want):
+    assert encode_value(x) == want
+    assert int(np.float64(x).astype(np.float16).view(np.uint16)) == want

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import scop.train as train_module
+from scop.encoder import check_seq_len
 from scop.errors import DomainError
 from scop.train import (
     Mlp,
@@ -334,3 +335,17 @@ def test_exact_fit_on_tiny_digits_csv(tmp_path):
     assert not metrics.diverged
     assert [e.epoch for e in metrics.epochs] == [0, 1]
     assert all(math.isfinite(e.train_loss) for e in metrics.epochs)
+
+
+def test_parse_mode_applies_the_stream_length_rule():
+    for bad in (0, MAX_SEQ_LEN + 1):
+        with pytest.raises(DomainError) as want:
+            check_seq_len(bad)
+        with pytest.raises(DomainError) as err:
+            parse_mode(f"stochastic({bad})")
+        assert str(err.value) == f"mode: {want.value}"
+
+
+def test_underflowing_folded_lr_names_lr():
+    with pytest.raises(DomainError, match="lr"):
+        train(_tiny("stochastic(16)", lr_folded=True, lr=5e-324, epochs=1))
