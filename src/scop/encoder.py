@@ -44,10 +44,10 @@ class StochasticSequence:
     def __post_init__(self):
         if not is_int(self.seq_len, 1):
             raise DomainError(f"seq_len must be an integer of at least 1, got {self.seq_len!r}")
-        if self.sign not in (0, 1):
-            raise DomainError("sign must be 0 or 1")
-        if not 0 <= self.bits < (1 << self.seq_len):
-            raise DomainError("bits wider than seq_len")
+        if not (is_int(self.sign, 0) and self.sign <= 1):
+            raise DomainError(f"sign must be 0 or 1, got {self.sign!r}")
+        if not (is_int(self.bits, 0) and self.bits < 1 << self.seq_len):
+            raise DomainError(f"bits must be an integer no wider than seq_len, got {self.bits!r}")
 
     @property
     def popcount(self) -> int:

@@ -33,6 +33,9 @@ from .errors import DomainError, is_int
 from .fp16 import SIGN_MASK, decode_bits
 from .unit_cell import f_scale, scale_exponents
 
+# update entries per empirical_stats block: its float64 sums stay in cache
+_BLOCK = 1 << 18
+
 
 def exact_outer(x, delta) -> np.ndarray:
     """Entry (j, i) = delta[j] * x[i] in float64."""
@@ -89,6 +92,16 @@ def empirical_stats(
 
     Seed pairs come from derive_seed_pairs over counters 0..trials-1, so the
     schedule is deterministic and collision-free within a trial.
+
+    Trials run and are summed in blocks of about _BLOCK entries, so the
+    float64 copies stay in cache. The block size cannot change a bit of the
+    result: every trial shares x, delta and lr, so every entry packs at one
+    scale 2^e, and each is k * q for q = 2^min(max(e, -24), 5) and an integer
+    |k| <= 2048 (a subnormal rounds onto the 2^-24 grid, a saturated entry
+    latches at 65504 = 2047 * 2^5). A partial sum of entries is then q, and
+    one of their squares q^2, times an integer below 2^53 for fewer than
+    2^31 trials. float64 holds each such sum exactly, so every order of
+    adding gives the same bits.
     """
     if not is_int(trials, 2):
         raise DomainError(f"trials must be an integer of at least 2, got {trials}")
@@ -99,9 +112,9 @@ def empirical_stats(
     shape = (delta.size, x.size)
     total = np.zeros(shape, dtype=np.float64)
     total_sq = np.zeros(shape, dtype=np.float64)
-    chunk = 4096
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
+    block = max(1, _BLOCK // max(1, delta.size * x.size))  # trials per block
+    for lo in range(0, trials, block):
+        hi = min(lo + block, trials)
         xs = np.broadcast_to(x, (hi - lo, x.size))
         ds = np.broadcast_to(delta, (hi - lo, delta.size))
         entries, _ = outer_product_many(xs, ds, seq_len, sx[lo:hi], sd[lo:hi], lr)

@@ -259,3 +259,11 @@ def test_matrix_batch_checks_each_job_against_its_own_exponent():
 def test_sequence_length_must_be_a_positive_integer(seq_len):
     with pytest.raises(DomainError):
         StochasticSequence(1, 0, seq_len)  # 2.0 once raised a bare TypeError
+
+
+@pytest.mark.parametrize("bits, sign", [(1.0, 0), (1, 1.0), (-1, 0), ("1", 0), (1, None)], ids=repr)
+def test_sequence_bits_and_sign_must_be_integers(bits, sign):
+    with pytest.raises(DomainError):  # 1.0 once built, then failed in popcount or the cell
+        StochasticSequence(bits, sign, 4)
+    seq = StochasticSequence(np.uint16(0b1011), np.int64(1), 4)
+    assert seq.popcount == 3

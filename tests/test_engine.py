@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scop import engine
 from scop.encoder import encode_with_words, vector_exponent
 from scop.engine import (
     OuterProductJob,
@@ -23,7 +24,7 @@ from scop.engine import (
     outer_product_many,
     _pack_table,
 )
-from scop.errors import ContractError, DomainError
+from scop.errors import ContractError, DomainError, SeedError
 from scop.fp16 import MAX_FINITE, PowerOfTwoScale
 from scop.lfsr import Lfsr
 from scop.unit_cell import (
@@ -590,3 +591,62 @@ def test_conv_weight_update_sums_from_positive_zero():
     for positions in (1, 2):
         out = conv_weight_update(acts[:positions], grads[:positions], 16, 1, 2)
         assert out.entries.view(np.uint16).tolist() == [[0x0000]]
+
+
+@pytest.mark.parametrize("bad", [0, 1.5], ids=repr)
+def test_groups_check_the_seeds_of_dead_jobs(bad):
+    """A seed is judged by itself, not by whether its job's operands make it drawn."""
+    x = np.array([[0.5, -0.25, 0.75]], dtype=np.float16)
+    with pytest.raises(SeedError):
+        outer_product_groups([(x, 0 * x)], 16, [[bad], [5]])  # 0 once returned zeros
+    with pytest.raises(SeedError):
+        outer_product_groups([(x, x)], 16, [[bad], [5]])
+
+
+def _tile_case_large_job():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-2, 2, 300).astype(np.float16)
+    d = rng.uniform(-2, 2, 300).astype(np.float16)
+    return [outer_product(OuterProductJob(x, d, 100, 0xACE1, 0x2C9F)).entries]
+
+
+def _tile_case_wide_batch():
+    """Ten jobs of 9 x 13: one delta row across the jobs outgrows a small tile."""
+    rng = np.random.default_rng(12)
+    xs = rng.uniform(-2, 2, (10, 13)).astype(np.float16)
+    ds = rng.uniform(-2, 2, (10, 9)).astype(np.float16)
+    sx, sd = derive_seed_pairs(1, 2, np.arange(10))
+    return [outer_product_many(xs, ds, 70, sx, sd, 0.05)[0]]
+
+
+def _tile_case_dead_jobs():
+    rng = np.random.default_rng(13)
+    xs = rng.uniform(-2, 2, (7, 11)).astype(np.float16)
+    ds = rng.uniform(-2, 2, (7, 6)).astype(np.float16)
+    xs[2] = 0
+    ds[4] = 0  # two dead jobs mid-batch take the masked branch
+    sx, sd = derive_seed_pairs(3, 4, np.arange(7))
+    return [outer_product_many(xs, ds, 16, sx, sd)[0]]
+
+
+def _tile_case_two_groups():
+    rng = np.random.default_rng(14)
+    groups = [
+        (rng.uniform(-1, 1, (5, 8)).astype(np.float16),
+         rng.uniform(-1, 1, (5, 12)).astype(np.float16)),
+        (rng.uniform(-1, 1, (5, 12)).astype(np.float16),
+         rng.uniform(-1, 1, (5, 3)).astype(np.float16)),
+    ]
+    seeds = check_seed_pairs(*derive_seed_pairs(5, 6, np.arange(10)))
+    return outer_product_groups(groups, 33, seeds, 0.1)
+
+
+@pytest.mark.parametrize("tile", [1, 7, 100])
+@pytest.mark.parametrize("case", [
+    _tile_case_large_job, _tile_case_wide_batch, _tile_case_dead_jobs, _tile_case_two_groups,
+], ids=lambda case: case.__name__.removeprefix("_tile_case_"))
+def test_tile_boundaries_do_not_change_a_bit(monkeypatch, case, tile):
+    want = [entries.view(np.uint16) for entries in case()]
+    monkeypatch.setattr(engine, "_TILE", tile)
+    got = [entries.view(np.uint16) for entries in case()]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(got) == len(want)

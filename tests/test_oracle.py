@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scop.engine import derive_seed_pairs, outer_product_many
 from scop.errors import DomainError
+from scop.fp16 import MAX_FINITE
 from scop.oracle import (
     analytic_moments,
     effective_probability,
@@ -121,6 +123,39 @@ def test_empirical_stats_chunking_is_invisible():
     small = empirical_stats(x, d, 8, trials=4097)  # crosses one chunk edge
     assert small.trials == 4097
     assert math.isfinite(float(small.mean[0, 0]))
+
+
+@pytest.mark.parametrize("lr", [None, 1e4, 1e-9])
+def test_empirical_stats_blocks_match_one_float64_reduction(lr):
+    """4,100 trials of 16 x 16 run in blocks of 1,024 and a short one; no bit may move."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-100, 100, 16).astype(np.float16)
+    d = rng.uniform(-100, 100, 16).astype(np.float16)
+    trials = 4100
+    stats = empirical_stats(x, d, 16, trials, lr=lr)
+
+    sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, np.arange(trials))
+    entries, _ = outer_product_many(
+        np.tile(x, (trials, 1)), np.tile(d, (trials, 1)), 16, sx, sd, lr
+    )
+    mags = np.abs(entries[entries != 0])
+    if lr == 1e4:
+        assert (mags == MAX_FINITE).all()  # every nonzero entry saturates
+    if lr == 1e-9:
+        assert mags.size and (mags < 2.0**-14).all()  # every nonzero entry is subnormal
+    cells = entries.astype(np.float64).reshape(trials, -1).T
+    total = np.array([math.fsum(c) for c in cells]).reshape(16, 16)
+    total_sq = np.array([math.fsum(c * c) for c in cells]).reshape(16, 16)
+    mean = total / trials
+    variance = np.maximum((total_sq - trials * mean * mean) / (trials - 1), 0.0)
+    assert np.array_equal(stats.mean.view(np.uint64), mean.view(np.uint64))
+    assert np.array_equal(stats.variance.view(np.uint64), variance.view(np.uint64))
+
+
+@pytest.mark.parametrize("x, d", [([], [0.5]), ([0.5], [])])
+def test_empirical_stats_rejects_an_empty_operand(x, d):
+    with pytest.raises(DomainError, match="nonempty"):  # not a ZeroDivisionError sizing blocks
+        empirical_stats(x, d, 16, trials=4)
 
 
 def test_empirical_stats_needs_trials():
