@@ -90,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed-x", type=_hex, default=0xACE1)
     p.add_argument("--seed-delta", type=_hex, default=0x2C9F)
+    p.add_argument("--lr", type=float, default=None, help="fold into the scale")
     p.add_argument("--report", required=True, help="JSON output path")
     p.set_defaults(func=cmd_stats)
 
@@ -159,7 +160,7 @@ def cmd_stats(args) -> int:
     x = read_vector(args.x)
     delta = read_vector(args.delta)
     stats = empirical_stats(
-        x, delta, args.seq_len, args.trials, args.seed_x, args.seed_delta
+        x, delta, args.seq_len, args.trials, args.seed_x, args.seed_delta, args.lr
     )
     e_x = vector_exponent(x)
     e_d = vector_exponent(delta)
@@ -168,7 +169,7 @@ def cmd_stats(args) -> int:
         for i in range(x.size):
             a_mean, a_var = analytic_moments(
                 float(x[i]), float(delta[j]),
-                e_x.exponent, e_d.exponent, args.seq_len,
+                e_x.exponent, e_d.exponent, args.seq_len, args.lr,
             )
             mean = float(stats.mean[j, i])
             hw = float(stats.confidence_halfwidth[j, i])

@@ -4,10 +4,10 @@ A value x with |x| <= 2^E is carried as (sign, bitstream): event k emits a 1
 when |x| >= w_k / 2^16 * 2^E for the k-th pseudo-random word w_k, so
 P(bit = 1) tracks |x| / 2^E. The threshold is built from the word by exponent
 adjustment alone (ldexp), mirroring a comparator datapath with no multiplier
-or divider; encode_matrix shifts |x| into a 16-bit level instead and compares
-integers, which decides every event the same way. x = 0 is the all-zero
-stream (no word is zero), which annihilates products regardless of the
-partner stream.
+or divider; encode_levels shifts |x| into a 16-bit level instead, which
+encode_matrix and the engine compare with the words as integers: every
+event is decided the same way. x = 0 is the all-zero stream (no word is
+zero), which annihilates products regardless of the partner stream.
 
 Bitstreams are packed LSB-first: bit k of the integer is event k.
 """
@@ -133,15 +133,19 @@ def encode_matrix(values: np.ndarray, exponent, words: np.ndarray):
         raise ContractError("values and words must be 1-D, or 2-D with a row per job")
     if not w.all():
         raise DomainError("words must be nonzero, as the generator emits them")
-    # |x| >= w * 2^(E - 16) iff floor(|x| * 2^(16 - E)) >= w: the scaling is
-    # exact and w an integer. 2^E itself caps at 0xFFFF, still >= every word.
-    scaled = np.ldexp(np.abs(vals), WIDTH - np.asarray(exponent)[..., None])
-    if not (scaled <= 1 << WIDTH).all():  # NaN fails every compare
+    mags, exponents = np.abs(vals), np.asarray(exponent)[..., None]
+    if not (np.ldexp(mags, -exponents) <= 1).all():  # NaN fails every compare
         raise DomainError(f"operand is NaN or exceeds 2^{exponent}")
-    levels = np.minimum(scaled, 0xFFFF, out=scaled).astype(np.uint16)  # truncation floors
-    bits = levels[..., :, None] >= w[..., None, :]
-    signs = (vals < 0).astype(np.uint8)
-    return bits, signs
+    bits = encode_levels(mags, exponents)[..., :, None] >= w[..., None, :]
+    return bits, (vals < 0).astype(np.uint8)
+
+
+def encode_levels(magnitudes: np.ndarray, exponents) -> np.ndarray:
+    """uint16 levels min(floor(m * 2^(16 - E)), 0xFFFF) of float64 magnitudes m <= 2^E."""
+    # m >= w * 2^(E - 16) iff level >= w for each nonzero word w: the scaling is exact and
+    # w an integer. m = 2^E caps at 0xFFFF, which is still >= every word.
+    scaled = np.ldexp(magnitudes, WIDTH - exponents)
+    return np.minimum(scaled, 0xFFFF, out=scaled).astype(np.uint16)  # truncation floors
 
 
 def _check_operand(x: float, exponent: int) -> None:

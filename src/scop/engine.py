@@ -8,10 +8,12 @@ delta_j and x_i, so a full N_D x N_X matrix costs 2 * seq_len draws total.
 A job whose x or delta is all zeros short-circuits to the zero matrix and
 draws nothing. The core returns the draw count that every caller reports.
 
-Single jobs, batches, conv updates and a training step's layers share one
-core. It takes groups of jobs of one shape each (a step has one per layer)
-and computes exponents, words, scales and the pack table once for all of
-them; each group is then encoded and counted as the unit cells do:
+Single jobs, batches, conv updates and a training step's layers (one group
+of same-shape jobs per layer) share one core. Once per call, over one flat
+array of every group's x rows and then delta rows, it finds each (side,
+job) peak, the live jobs, the exponents, the levels (encoder.encode_levels)
+and sign offsets, the words, the scales and the pack table. Each group then
+compares its levels with its jobs' words, and counts and packs its entries:
 
 * count: each row of stream bits is packed into machine words (np.packbits;
   one uint8/16/32/64 word when the row fills 1, 2, 4 or 8 bytes, else
@@ -25,15 +27,14 @@ them; each group is then encoded and counted as the unit cells do:
 
 Count and pack run one tile of about _TILE entries at a time: a block of
 whole jobs, or a block of one job's delta rows. Their per-entry temporaries
-(the AND word, its popcount, the uint16 index and the int64 gather index,
-up to 19 bytes an entry) then stay in cache instead of streaming through
-memory at the size of the whole update, which made them the largest cost
-of a large job or batch. A tile writes straight into its slice of the
-output, or, when some jobs are dead, is scattered to its live jobs' rows. Below 2^15 entries the per-tile calls cost up to 20%. Above it, a
-mid-size job that follows a large one (whose frees shrink the heap) pays
-page faults for its temporaries: at 2^16 a 256 x 256 job at seq_len 16
-took 176 faults against 64, enough to lift the median op of a mixed run
-of jobs 10%.
+(the AND word, its popcount, the uint16 and the int64 gather index, up to
+19 bytes an entry) then stay in cache rather than stream through memory at
+the size of the whole update. A tile writes straight into its slice of the
+output or, when some jobs are dead, is scattered to its live jobs' rows.
+Below 2^15 entries the per-tile calls cost up to 20%; at 2^16 a mid-size
+job after a large one (whose frees shrink the heap) page-faults its
+temporaries back in: 176 faults against 64 for 256 x 256 at seq_len 16,
+enough to lift the median op of a mixed run of jobs 10%.
 
 apply_update folds the matrix into weights with momentum, every arithmetic
 step rounded to binary16.
@@ -47,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import check_seq_len, encode_matrix
+from .encoder import check_seq_len, encode_levels
 from .errors import ContractError, DomainError
-from .fp16 import MAX_FINITE, PowerOfTwoScale, ceil_exponents
+from .fp16 import MAX_FINITE, MIN_SUBNORMAL, PowerOfTwoScale, ceil_exponents
 from .lfsr import check_seeds, word_matrix
 from .unit_cell import scale_exponents
 
@@ -77,6 +78,8 @@ class OuterProductJob:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float16))
         object.__setattr__(self, "delta", np.asarray(self.delta, dtype=np.float16))
+        if self.x.ndim != 1 or self.delta.ndim != 1:
+            raise ContractError("x and delta must be 1-D vectors")
         _checked_jobs(
             self.x[None], self.delta[None], self.seq_len,
             [self.seed_x], [self.seed_delta], self.lr,
@@ -188,47 +191,51 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
     nonzero, draw words: draws is 2 * seq_len per live job, and the
     exponents are the live jobs', None when no job is live.
     """
-    # order "K" would copy broadcast rows F-ordered
-    x64 = [xs.astype(np.float64, order="C") for xs, _ in groups]
-    d64 = [deltas.astype(np.float64, order="C") for _, deltas in groups]
-    peaks = np.array([np.concatenate([np.max(np.abs(v), axis=1) for v in vs])
-                      for vs in (x64, d64)])
+    # every group's x rows, then every group's delta rows: one segment per (side, job)
+    operands = [group[side] for side in (0, 1) for group in groups]
+    flat = np.concatenate([v.reshape(-1) for v in operands])
+    lengths = np.array([v.shape[1] for v in operands]).repeat([len(v) for v in operands])
+    mags = np.abs(flat).astype(np.float64)
+    peaks = np.maximum.reduceat(mags, lengths.cumsum() - lengths).reshape(2, -1)
     live = peaks.all(axis=0)
-    out = [np.zeros((x.shape[0], d.shape[1], x.shape[1]), np.float16) for x, d in zip(x64, d64)]
+    out = [np.zeros((x.shape[0], d.shape[1], x.shape[1]), np.float16) for x, d in groups]
     draws = 2 * seq_len * int(np.count_nonzero(live))
     if not draws:
         return out, 0, None
 
+    # an all-zero side encodes to level 0 at any exponent; 2^-24 is binary16's least magnitude
+    exps = ceil_exponents(np.maximum(peaks, MIN_SUBNORMAL))
+    levels = encode_levels(mags, exps.reshape(-1).repeat(lengths))
+    # a sign bit's offset to the negative row of the table; a signed zero counts 0, which packs +0
+    flips = (flat.view(np.uint16) >> 15) * np.uint16(seq_len + 1)
     all_live = live.all()
     jobs = slice(None) if all_live else live  # a mask copies, a slice does not
-    e_x, e_d = ceil_exponents(peaks[:, jobs])
+    e_x, e_d = exps[:, jobs]
     words = word_matrix(seeds[:, jobs].reshape(-1), seq_len).reshape(2, e_x.size, seq_len)
     exponents = scale_exponents(e_x, e_d, seq_len, lr)
     table = _pack_table(seq_len, exponents).reshape(-1)
-
+    # each operand's (levels, sign offsets) in its shape: the x sides, then the deltas
+    coded = [(levels[e - v.size : e].reshape(v.shape), flips[e - v.size : e].reshape(v.shape))
+             for v, e in zip(operands, itertools.accumulate(v.size for v in operands))]
     start = first = 0  # the group's first job, and its first live job
-    for x, d, entries in zip(x64, d64, out):
-        g_live = live[start : start + x.shape[0]]
-        start += x.shape[0]
+    for entries, (level_x, flip_x), (level_d, flip_d) in zip(out, coded, coded[len(out):]):
+        g_live = live[start : start + len(level_x)]
+        start += len(level_x)
         rows = slice(first, first + int(np.count_nonzero(g_live)))
         first = rows.stop
         if rows.start == rows.stop:
             continue
         if not all_live:
-            x, d = x[g_live], d[g_live]
+            level_x, flip_x = level_x[g_live], flip_x[g_live]
+            level_d, flip_d = level_d[g_live], flip_d[g_live]
             at_job = np.flatnonzero(g_live)  # a live job's index in entries
-        bits_x, neg_x = encode_matrix(x, e_x[rows], words[0, rows])
-        bits_d, neg_d = encode_matrix(d, e_d[rows], words[1, rows])
-        words_d = _stream_words(bits_d)
-        words_x = _stream_words(bits_x)
-        # table offsets: a job's first row, and a negative operand's flip to its sign row
+        words_d = _stream_words(level_d[:, :, None] >= words[1, rows, None, :])
+        words_x = _stream_words(level_x[:, :, None] >= words[0, rows, None, :])
         at = np.arange(2 * rows.start, 2 * rows.stop, 2)[:, None, None] * (seq_len + 1)
-        flip_x = neg_x * np.uint16(seq_len + 1)
-        flip_d = neg_d * np.uint16(seq_len + 1)
         n_d, n_x = entries.shape[1:]
         tile_jobs = max(1, _TILE // (n_d * n_x))  # a tile is a block of whole jobs,
         tile_rows = min(n_d, max(1, _TILE // n_x))  # or of one job's delta rows
-        for lo, top in itertools.product(range(0, len(x), tile_jobs), range(0, n_d, tile_rows)):
+        for lo, top in itertools.product(range(0, len(at), tile_jobs), range(0, n_d, tile_rows)):
             j, t = slice(lo, lo + tile_jobs), slice(top, top + tile_rows)
             tile = (words_d[:, j, t], words_x[:, j], flip_d[j, t], flip_x[j], at[j], table)
             if all_live:  # the gather stores into entries

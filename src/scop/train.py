@@ -243,16 +243,19 @@ def train(config: TrainingConfig) -> RunMetrics:
                     for a, d in layers
                 ]
             else:
-                # a layer operand that overflowed to inf or NaN ends the fit;
-                # the layers before it still update
-                n_finite = next((k for k, (a, d) in enumerate(layers)
-                                 if not (np.isfinite(a).all() and np.isfinite(d).all())),
-                                n_layers)
-                metrics.diverged = n_finite < n_layers
-                seeds = plan[:, lo * n_layers : lo * n_layers + n_finite * b]
-                updates = outer_product_groups(
-                    layers[:n_finite], seq_len, seeds, lr if folded else None
-                ) if n_finite else []
+                seeds = plan[:, lo * n_layers : (lo + b) * n_layers]  # b per layer, in order
+                fold = lr if folded else None
+                try:
+                    updates = outer_product_groups(layers, seq_len, seeds, fold)
+                except DomainError:
+                    # a layer operand that overflowed to inf or NaN ends the fit once
+                    # the layers before it update; any other fault propagates
+                    finite = [np.isfinite(a).all() and np.isfinite(d).all() for a, d in layers]
+                    if all(finite):
+                        raise
+                    metrics.diverged, n = True, finite.index(False)
+                    updates = outer_product_groups(
+                        layers[:n], seq_len, seeds[:, : n * b], fold) if n else []
                 grads_w = [np.sum(e, axis=0, dtype=np.float16) * np.float16(1.0 / b)
                            for e in updates]
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scop.encoder import vector_exponent
 from scop.formats import read_matrix, write_vector
+from scop.oracle import analytic_moments, empirical_stats
 
 
 def run_cli(*args, **kwargs):
@@ -193,6 +195,46 @@ def test_stats_report(vectors, tmp_path):
         }
     # full-scale operands are deterministic: exact agreement, zero width
     assert data["entries"][0]["mean"] == data["entries"][0]["analytic_mean"]
+
+
+def test_stats_lr_report_equals_the_library_call(tmp_path):
+    xp, dp = str(tmp_path / "x.csv"), str(tmp_path / "d.csv")
+    x = np.array([0.75, -0.3, 0.0], dtype=np.float16)
+    d = np.array([0.2, -1.5], dtype=np.float16)
+    write_vector(xp, x, "csv")
+    write_vector(dp, d, "csv")
+    report = str(tmp_path / "report.json")
+    r = run_cli(
+        "stats", "--x", xp, "--delta", dp, "--seq-len", "24", "--trials", "50",
+        "--seed-x", "1111", "--lr", "0.1", "--report", report,
+    )
+    assert r.returncode == 0, r.stderr
+    stats = empirical_stats(x, d, 24, 50, 0x1111, 0x2C9F, lr=0.1)
+    e_x, e_d = vector_exponent(x).exponent, vector_exponent(d).exponent
+    entries = json.load(open(report))["entries"]
+    assert [(e["row"], e["col"]) for e in entries] == [(j, i) for j in range(2) for i in range(3)]
+    for e in entries:
+        j, i = e["row"], e["col"]
+        assert e["mean"] == stats.mean[j, i]
+        assert e["variance"] == stats.variance[j, i]
+        assert e["ci_halfwidth"] == stats.confidence_halfwidth[j, i]
+        assert (e["analytic_mean"], e["analytic_variance"]) == analytic_moments(
+            float(x[i]), float(d[j]), e_x, e_d, 24, 0.1
+        )
+    plain = empirical_stats(x, d, 24, 50, 0x1111, 0x2C9F)
+    assert not np.array_equal(plain.mean, stats.mean)  # the lr reached the engine
+
+
+@pytest.mark.parametrize("lr", ["0", "-0.5", "nan", "inf", "5e-324"])
+def test_stats_bad_lr_exit_2(vectors, tmp_path, lr):
+    xp, dp = vectors
+    r = run_cli(
+        "stats", "--x", xp, "--delta", dp, "--seq-len", "16", "--trials", "4",
+        "--lr", lr, "--report", str(tmp_path / "report.json"),
+    )
+    assert r.returncode == 2
+    assert "lr" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_train_smoke_and_outputs(tmp_path):

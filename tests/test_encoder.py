@@ -22,6 +22,7 @@ from scop.encoder import (
 )
 from scop.lfsr import PERIOD, Lfsr
 from scop.lfsr import word_matrix
+from scop.encoder import encode_levels
 
 
 def pack_row(row: np.ndarray) -> int:
@@ -237,6 +238,22 @@ def test_matrix_levels_match_the_threshold_rule_on_every_float16(exponent):
     words = np.concatenate(([1, 0xFFFF], word_matrix([0xACE1], 62)[0]))
     bits, _ = encode_matrix(mags, exponent, words)
     assert (bits == (mags[:, None] >= np.ldexp(words.astype(np.float64), exponent - 16))).all()
+
+
+@pytest.mark.parametrize("exponent", [-24, -15, -1, 0, 5, 16])
+def test_levels_match_the_threshold_rule_on_every_float16(exponent):
+    """The level is the last word the ldexp rule fires for, so it decides every word alike."""
+    mags = np.arange(0x7C00, dtype=np.uint16).view(np.float16).astype(np.float64)
+    mags = mags[mags <= 2.0**exponent]
+    levels = encode_levels(mags, exponent)
+    assert levels.dtype == np.uint16
+    fires = lambda m, w: m >= np.ldexp(np.asarray(w, dtype=np.float64), exponent - 16)
+    assert (fires(mags, np.maximum(levels, 1)) | (levels == 0)).all()  # the level's word fires
+    assert (~fires(mags, levels + 1.0) | (levels == 0xFFFF)).all()  # and the next one does not
+    words = np.concatenate(([1, 0xFFFF], word_matrix([0xACE1], 62)[0]))
+    assert ((levels[:, None] >= words) == fires(mags[:, None], words)).all()
+    per_entry = encode_levels(mags, np.full(mags.shape, exponent))  # as the engine calls it
+    assert np.array_equal(per_entry, levels)
 
 
 def test_matrix_rejects_a_zero_word():

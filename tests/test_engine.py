@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scop import engine
@@ -650,3 +650,100 @@ def test_tile_boundaries_do_not_change_a_bit(monkeypatch, case, tile):
     monkeypatch.setattr(engine, "_TILE", tile)
     got = [entries.view(np.uint16) for entries in case()]
     assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(got) == len(want)
+
+
+@pytest.mark.parametrize("x, d", [
+    (np.float16(0.5), np.array([0.5])),  # 0-d x
+    (np.array([0.5]), np.array([[0.5, 0.25]])),  # 2-D delta
+    (np.ones((1, 3)), np.ones((1, 2))),  # a batch row is still 2-D
+])
+def test_a_job_names_its_own_operands_in_a_shape_error(x, d):
+    with pytest.raises(ContractError, match="x and delta must be 1-D vectors"):
+        OuterProductJob(x, d, 16, 0xACE1, 0x2C9F)
+
+
+# one job's operands in a grouped call: live, or dead through an all-zero x or delta
+_JOB_KINDS = ("live", "zero x", "zero delta")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(st.sampled_from((0, 1, 3, 6)), st.integers(1, 40), st.integers(1, 40)),
+        min_size=1, max_size=4,
+    ),
+    seq_len=st.sampled_from((1, 7, 8, 63, 64, 65, 300, MAX_SEQ_LEN)),
+    lr=st.sampled_from((None, 0.05)),
+    counter=st.integers(0, 2**20),
+    kinds=st.lists(st.sampled_from(_JOB_KINDS), max_size=24),  # job k's, else live
+)
+@example(  # dead jobs first, mid-batch and last in a group, an empty group last
+    shapes=[(6, 40, 33), (3, 1, 40), (0, 5, 5)], seq_len=MAX_SEQ_LEN, lr=0.05, counter=7,
+    kinds=["zero x", "live", "zero delta", "live", "live", "live", "live", "live", "zero delta"],
+)
+@example(
+    shapes=[(0, 3, 3), (1, 17, 2), (6, 2, 17)], seq_len=300, lr=None, counter=3,
+    kinds=["live", "live", "live", "zero x", "live", "live", "zero delta"],
+)
+@example(shapes=[(0, 3, 2), (0, 1, 40)], seq_len=64, lr=None, counter=0, kinds=[])  # no job
+def test_grouped_core_matches_a_job_per_job(shapes, seq_len, lr, counter, kinds):
+    """Entries and draws of one core call over groups of any shape, dead jobs anywhere."""
+    rng = np.random.default_rng(counter)
+    kinds = kinds + ["live"] * sum(b for b, _, _ in shapes)
+    groups, live, k = [], 0, 0
+    for b, n_x, n_d in shapes:
+        scales = 2.0 ** rng.integers(-20, 8, (2, b, 1))  # each operand its own power of two
+        xs = (rng.uniform(-1, 1, (b, n_x)) * scales[0]).astype(np.float16)
+        ds = (rng.uniform(-1, 1, (b, n_d)) * scales[1]).astype(np.float16)
+        xs[[kind == "zero x" for kind in kinds[k : k + b]]] = 0
+        ds[[kind == "zero delta" for kind in kinds[k : k + b]]] = 0
+        groups.append((xs, ds))
+        live += sum(xs[q].any() and ds[q].any() for q in range(b))
+        k += b
+    sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, counter + np.arange(k))
+    seeds = check_seed_pairs(sx, sd)
+    out = outer_product_groups(groups, seq_len, seeds, lr)
+    _, draws, _ = engine._run_jobs(groups, seq_len, seeds, lr)
+    assert draws == 2 * seq_len * live
+    k = 0  # the job's column in seeds
+    for (xs, ds), entries in zip(groups, out):
+        assert entries.shape == (len(xs), ds.shape[1], xs.shape[1])
+        for x, d, got in zip(xs, ds, entries):
+            want = outer_product(OuterProductJob(x, d, seq_len, int(sx[k]), int(sd[k]), lr))
+            assert np.array_equal(got.view(np.uint16), want.entries.view(np.uint16)), k
+            # and, as the core is also the reference above, two cells by the scalar route
+            for j, i in ((np.abs(d).argmax(), np.abs(x).argmax()),
+                         (rng.integers(len(d)), rng.integers(len(x)))):
+                cell = _scalar_cell(x, d, i, j, seq_len, int(sx[k]), int(sd[k]), lr)
+                assert got[j, i].view(np.uint16) == cell, (k, j, i)
+            k += 1
+
+
+def _scalar_cell(x, d, i, j, seq_len, seed_x, seed_d, lr):
+    """Bits of entry (j, i) of one job through the scalar encoder and unit cell."""
+    ex, ed = vector_exponent(x), vector_exponent(d)
+    if ex.is_zero_vector or ed.is_zero_vector:
+        return 0
+    scale = f_scale_with_lr(lr if lr else 1.0, ex.exponent, ed.exponent, seq_len)
+    a = encode_with_words(float(x[i]), ex.exponent, Lfsr(seed_x).next_words(seq_len))
+    b = encode_with_words(float(d[j]), ed.exponent, Lfsr(seed_d).next_words(seq_len))
+    return unit_cell_multiply(a, b, scale).bits
+
+
+@pytest.mark.parametrize("dead", [False, True])
+def test_a_core_call_makes_each_per_call_pass_once(monkeypatch, dead):
+    """Exponents, levels, words and the pack table run once per call, not once per group."""
+    calls = []
+    for name in ("ceil_exponents", "encode_levels", "word_matrix", "_pack_table"):
+        fn = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    rng = np.random.default_rng(8)
+    groups = [(rng.uniform(-1, 1, (4, n_x)).astype(np.float16),
+               rng.uniform(-1, 1, (4, n_d)).astype(np.float16))
+              for n_x, n_d in ((2, 9), (9, 5), (5, 2))]
+    if dead:
+        groups[1][0][2] = 0  # the masked branch
+    seeds = check_seed_pairs(*derive_seed_pairs(3, 4, np.arange(12)))
+    engine.outer_product_groups(groups, 16, seeds)
+    assert sorted(calls) == ["_pack_table", "ceil_exponents", "encode_levels", "word_matrix"]
+    assert not hasattr(engine, "encode_matrix")  # no second encode path
