@@ -188,6 +188,7 @@ def cmd_stats(args) -> int:
     report = {
         "seq_len": args.seq_len,
         "trials": args.trials,
+        "lr": args.lr,  # None when unfolded
         "entries": entries,
     }
     with open(args.report, "w") as fh:

@@ -4,10 +4,11 @@ A value x with |x| <= 2^E is carried as (sign, bitstream): event k emits a 1
 when |x| >= w_k / 2^16 * 2^E for the k-th pseudo-random word w_k, so
 P(bit = 1) tracks |x| / 2^E. The threshold is built from the word by exponent
 adjustment alone (ldexp), mirroring a comparator datapath with no multiplier
-or divider; encode_levels shifts |x| into a 16-bit level instead, which
-encode_matrix and the engine compare with the words as integers: every
-event is decided the same way. x = 0 is the all-zero stream (no word is
-zero), which annihilates products regardless of the partner stream.
+or divider. encode_with_words is that reference; encode_levels shifts |x|
+into a 16-bit level instead, which the engine compares with the words as
+integers (level >= w), so every event is decided the same way. x = 0 is
+the all-zero stream (no word is zero), which annihilates products
+regardless of the partner stream.
 
 Bitstreams are packed LSB-first: bit k of the integer is event k.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, is_int
+from .errors import DomainError, is_int
 from .fp16 import exponent_ceil
 from .lfsr import WIDTH, Lfsr
 
@@ -52,11 +53,6 @@ class StochasticSequence:
     @property
     def popcount(self) -> int:
         return self.bits.bit_count()
-
-    def event(self, k: int) -> int:
-        if not 0 <= k < self.seq_len:
-            raise DomainError(f"event index {k} out of range")
-        return (self.bits >> k) & 1
 
 
 @dataclass(frozen=True)
@@ -115,29 +111,6 @@ def probability_of(x: float, exponent: int) -> float:
     """Idealized event probability |x| / 2^E for an in-range operand."""
     _check_operand(x, exponent)
     return math.ldexp(abs(x), -exponent)
-
-
-def encode_matrix(values: np.ndarray, exponent, words: np.ndarray):
-    """Encode a whole vector against one shared word sequence, or a batch of them.
-
-    values is (n,) with an int exponent and (seq_len,) words, or (B, n) with
-    (B,) exponents and (B, seq_len) words. Returns (bits, signs): bits is a
-    (..., n, seq_len) bool array, signs a (..., n) uint8 array. Row i (of job
-    b) equals encode_with_words(values[b, i], exponent[b], words[b]) bit for
-    bit; all rows of a job share the same words, which is the whole point of
-    the reuse scheme.
-    """
-    vals = np.asarray(values, dtype=np.float64, order="C")
-    w = np.asarray(words, dtype=np.uint16)
-    if vals.ndim not in (1, 2) or w.shape[:-1] != vals.shape[:-1] or w.ndim != vals.ndim:
-        raise ContractError("values and words must be 1-D, or 2-D with a row per job")
-    if not w.all():
-        raise DomainError("words must be nonzero, as the generator emits them")
-    mags, exponents = np.abs(vals), np.asarray(exponent)[..., None]
-    if not (np.ldexp(mags, -exponents) <= 1).all():  # NaN fails every compare
-        raise DomainError(f"operand is NaN or exceeds 2^{exponent}")
-    bits = encode_levels(mags, exponents)[..., :, None] >= w[..., None, :]
-    return bits, (vals < 0).astype(np.uint8)
 
 
 def encode_levels(magnitudes: np.ndarray, exponents) -> np.ndarray:

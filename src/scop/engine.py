@@ -9,10 +9,11 @@ A job whose x or delta is all zeros short-circuits to the zero matrix and
 draws nothing. The core returns the draw count that every caller reports.
 
 Single jobs, batches, conv updates and a training step's layers (one group
-of same-shape jobs per layer) share one core. Once per call, over one flat
-array of every group's x rows and then delta rows, it finds each (side,
-job) peak, the live jobs, the exponents, the levels (encoder.encode_levels)
-and sign offsets, the words, the scales and the pack table. Each group then
+of same-shape jobs per layer) share one call check, _checked_groups (a job
+runs it when built), and one core. Once per call, over one flat array of
+every group's x rows and then delta rows, the core finds each (side, job)
+peak, the live jobs, the exponents, the levels (encoder.encode_levels) and
+sign offsets, the words, the scales and the pack table. Each group then
 compares its levels with its jobs' words, and counts and packs its entries:
 
 * count: each row of stream bits is packed into machine words (np.packbits;
@@ -80,21 +81,30 @@ class OuterProductJob:
         object.__setattr__(self, "delta", np.asarray(self.delta, dtype=np.float16))
         if self.x.ndim != 1 or self.delta.ndim != 1:
             raise ContractError("x and delta must be 1-D vectors")
-        _checked_jobs(
-            self.x[None], self.delta[None], self.seq_len,
-            [self.seed_x], [self.seed_delta], self.lr,
-        )
+        _checked_groups([(self.x[None], self.delta[None])], self.seq_len,
+                        ([self.seed_x], [self.seed_delta]), self.lr)
 
 
-def _checked_jobs(xs, deltas, seq_len, seeds_x, seeds_delta, lr):
-    """Check one batch; return its float16 operands and (2, B) uint16 seeds, x seeds first."""
-    seeds = check_seed_pairs(seeds_x, seeds_delta)
-    [(xs, deltas)] = _checked_groups([(xs, deltas)], seq_len, seeds, lr)
-    return xs, deltas, seeds
+def check_seed_pairs(seeds_x, seeds_delta) -> np.ndarray:
+    """(2, B) uint16 seeds, x seeds in row 0: each a valid seed, the two of a job distinct."""
+    if np.ndim(seeds_x) != 1 or np.shape(seeds_x) != np.shape(seeds_delta):
+        raise ContractError("need one seed_x and one seed_delta per job")
+    seeds = check_seeds([seeds_x, seeds_delta])
+    if (seeds[0] == seeds[1]).any():
+        raise DomainError("seed_x and seed_delta must differ within each job")
+    return seeds
 
 
 def _checked_groups(groups, seq_len, seeds, lr):
-    """Check (B, n_x), (B, n_d) operand pairs, the (2, sum B) seed shape, seq_len and lr."""
+    """The one check of an engine call -> (float16 groups, (2, sum B) uint16 seeds).
+
+    seeds is an (x seeds, delta seeds) pair, such as a (2, sum B) array.
+    """
+    try:
+        seeds_x, seeds_delta = seeds
+    except (TypeError, ValueError):  # a scalar, or not two rows
+        raise ContractError("seeds must be an (x seeds, delta seeds) pair") from None
+    seeds = check_seed_pairs(seeds_x, seeds_delta)
     checked = []
     for xs, deltas in groups:
         xs = np.asarray(xs, dtype=np.float16)
@@ -106,25 +116,12 @@ def _checked_groups(groups, seq_len, seeds, lr):
         if not (np.isfinite(xs).all() and np.isfinite(deltas).all()):
             raise DomainError("x and delta entries must be finite")
         checked.append((xs, deltas))
-    if not checked or seeds.shape != (2, sum(xs.shape[0] for xs, _ in checked)):
+    if not checked or seeds.shape[1] != sum(xs.shape[0] for xs, _ in checked):
         raise ContractError("need a group of jobs or more, and one seed pair per job")
     check_seq_len(seq_len)
     if lr is not None and not (math.isfinite(lr) and lr > 0):
         raise DomainError("lr must be finite and positive")
-    return checked
-
-
-def check_seed_pairs(seeds_x, seeds_delta) -> np.ndarray:
-    """(2, B) uint16 seeds, x seeds in row 0: each a valid seed, the two of a job distinct."""
-    if np.ndim(seeds_x) != 1 or np.shape(seeds_x) != np.shape(seeds_delta):
-        raise ContractError("need one seed_x and one seed_delta per job")
-    return _distinct_pairs(check_seeds([seeds_x, seeds_delta]))
-
-
-def _distinct_pairs(seeds: np.ndarray) -> np.ndarray:
-    if (seeds[0] == seeds[1]).any():
-        raise DomainError("seed_x and seed_delta must differ within each job")
-    return seeds
+    return checked, seeds
 
 
 @dataclass(frozen=True)
@@ -134,14 +131,6 @@ class UpdateMatrix:
     entries: np.ndarray
     rng_draws: int
     scale: PowerOfTwoScale | None = None
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
 
 
 # packed byte width of a stream row -> the one machine word that holds it
@@ -290,8 +279,8 @@ def outer_product_many(
     is (B, n_d, n_x) float16, bit-identical per job to outer_product, and
     rng_draws counts only non-short-circuited jobs.
     """
-    xs, deltas, seeds = _checked_jobs(xs, deltas, seq_len, seeds_x, seeds_delta, lr)
-    (entries,), draws, _ = _run_jobs([(xs, deltas)], seq_len, seeds, lr)
+    groups, seeds = _checked_groups([(xs, deltas)], seq_len, (seeds_x, seeds_delta), lr)
+    (entries,), draws, _ = _run_jobs(groups, seq_len, seeds, lr)
     return entries, draws
 
 
@@ -305,9 +294,8 @@ def outer_product_groups(groups, seq_len: int, seeds: np.ndarray, lr: float | No
     distinct seeds. Returns each group's entries, bit-identical per job to
     outer_product_many.
     """
-    seeds = check_seeds(seeds)
-    groups = _checked_groups(groups, seq_len, seeds, lr)
-    return _run_jobs(groups, seq_len, _distinct_pairs(seeds), lr)[0]
+    groups, seeds = _checked_groups(groups, seq_len, seeds, lr)
+    return _run_jobs(groups, seq_len, seeds, lr)[0]
 
 
 def apply_update(
@@ -324,8 +312,7 @@ def apply_update(
     folded into the update's scale, lr_eff is 1 and no multiply happens here.
     Returns (new_weights, new_velocity).
     """
-    dw = update.entries if isinstance(update, UpdateMatrix) else np.asarray(update)
-    dw = dw.astype(np.float16, copy=False)
+    dw = np.asarray(update, dtype=np.float16)
     w = np.asarray(weights, dtype=np.float16)
     if w.shape != dw.shape:
         raise ContractError(f"shape mismatch: weights {w.shape} vs update {dw.shape}")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .encoder import check_seq_len, probability_of
 from .engine import derive_seed_pairs, outer_product_many
-from .errors import DomainError, is_int
+from .errors import ContractError, DomainError, is_int
 from .fp16 import SIGN_MASK, decode_bits
 from .unit_cell import f_scale, scale_exponents
 
@@ -107,6 +107,8 @@ def empirical_stats(
         raise DomainError(f"trials must be an integer of at least 2, got {trials}")
     x = np.asarray(x, dtype=np.float16)
     delta = np.asarray(delta, dtype=np.float16)
+    if x.ndim != 1 or delta.ndim != 1:
+        raise ContractError("x and delta must be 1-D vectors")
     sx, sd = derive_seed_pairs(base_seed_x, base_seed_delta, np.arange(trials))
 
     shape = (delta.size, x.size)

@@ -306,7 +306,7 @@ _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False}
 
 
 def parse_config(text: str) -> TrainingConfig:
-    """key = value lines, # comments. Unknown or malformed keys are errors."""
+    """key = value lines, # comments. Unknown, repeated or malformed keys are errors."""
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -317,6 +317,8 @@ def parse_config(text: str) -> TrainingConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in kwargs:
+            raise DomainError(f"line {lineno}: {key} is set twice")
         try:
             kwargs[key] = _parse_field(key, value)
         except DomainError:

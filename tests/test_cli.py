@@ -187,6 +187,7 @@ def test_stats_report(vectors, tmp_path):
     assert r.returncode == 0
     data = json.load(open(report))
     assert data["trials"] == 200
+    assert data["lr"] is None  # unfolded
     assert len(data["entries"]) == 2
     for entry in data["entries"]:
         assert set(entry) >= {
@@ -211,7 +212,9 @@ def test_stats_lr_report_equals_the_library_call(tmp_path):
     assert r.returncode == 0, r.stderr
     stats = empirical_stats(x, d, 24, 50, 0x1111, 0x2C9F, lr=0.1)
     e_x, e_d = vector_exponent(x).exponent, vector_exponent(d).exponent
-    entries = json.load(open(report))["entries"]
+    data = json.load(open(report))
+    assert data["lr"] == 0.1
+    entries = data["entries"]
     assert [(e["row"], e["col"]) for e in entries] == [(j, i) for j in range(2) for i in range(3)]
     for e in entries:
         j, i = e["row"], e["col"]

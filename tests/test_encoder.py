@@ -14,7 +14,6 @@ from scop.encoder import (
     MAX_SEQ_LEN,
     StochasticSequence,
     encode,
-    encode_matrix,
     encode_with_words,
     probability_of,
     threshold,
@@ -162,24 +161,20 @@ def test_encode_path_has_no_multiply_or_divide():
 def test_sequence_invariants():
     seq = StochasticSequence(0b1011, 1, 4)
     assert seq.popcount == 3
-    assert [seq.event(k) for k in range(4)] == [1, 1, 0, 1]
+    assert [(seq.bits >> k) & 1 for k in range(4)] == [1, 1, 0, 1]  # event k is bit k
     with pytest.raises(DomainError):
         StochasticSequence(0b10000, 0, 4)  # bits wider than seq_len
     with pytest.raises(DomainError):
         StochasticSequence(0, 2, 4)
-    with pytest.raises(DomainError):
-        seq.event(4)
 
 
 def test_matrix_rows_match_scalar_encoding():
     values = np.array([0.3, -0.7, 0.0, 1.0, -0.0001], dtype=np.float64)
     words = Lfsr(0x7777).next_words(24)
-    bits, signs = encode_matrix(values, 0, words)
+    bits = encode_levels(np.abs(values), 0)[:, None] >= words  # the engine's compare
     assert bits.shape == (5, 24)
     for i, v in enumerate(values):
-        ref = encode_with_words(float(v), 0, words)
-        assert pack_row(bits[i]) == ref.bits
-        assert signs[i] == ref.sign
+        assert pack_row(bits[i]) == encode_with_words(float(v), 0, words).bits
 
 
 @given(
@@ -214,20 +209,12 @@ def test_matrix_batch_rows_match_scalar_encoding():
     values[1, 2] = 0.0
     values[2, 0] = -(2.0 ** -2)  # at its job's bound
     words = word_matrix(np.array([0x7777, 0x0101, 0xFFFF]), 24)
-    bits, signs = encode_matrix(values, exponents, words)
-    assert bits.shape == (3, 5, 24) and signs.shape == (3, 5)
+    bits = encode_levels(np.abs(values), exponents[:, None])[..., None] >= words[:, None, :]
+    assert bits.shape == (3, 5, 24)
     for b in range(3):
         for i in range(5):
             ref = encode_with_words(float(values[b, i]), int(exponents[b]), words[b])
             assert pack_row(bits[b, i]) == ref.bits, (b, i)
-            assert signs[b, i] == ref.sign
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_matrix_rejects_a_non_finite_operand(bad):
-    words = word_matrix([0x7777], 8)[0]
-    with pytest.raises(DomainError):
-        encode_matrix(np.array([bad, 0.5]), 0, words)  # NaN once encoded as an empty stream
 
 
 @pytest.mark.parametrize("exponent", [-24, -15, -1, 0, 5, 16])
@@ -236,7 +223,7 @@ def test_matrix_levels_match_the_threshold_rule_on_every_float16(exponent):
     mags = np.arange(0x7C00, dtype=np.uint16).view(np.float16).astype(np.float64)
     mags = mags[mags <= 2.0**exponent]
     words = np.concatenate(([1, 0xFFFF], word_matrix([0xACE1], 62)[0]))
-    bits, _ = encode_matrix(mags, exponent, words)
+    bits = encode_levels(mags, exponent)[:, None] >= words
     assert (bits == (mags[:, None] >= np.ldexp(words.astype(np.float64), exponent - 16))).all()
 
 
@@ -254,22 +241,6 @@ def test_levels_match_the_threshold_rule_on_every_float16(exponent):
     assert ((levels[:, None] >= words) == fires(mags[:, None], words)).all()
     per_entry = encode_levels(mags, np.full(mags.shape, exponent))  # as the engine calls it
     assert np.array_equal(per_entry, levels)
-
-
-def test_matrix_rejects_a_zero_word():
-    """The generator never emits 0; against it a zero operand would fire every event."""
-    words = word_matrix([0x7777], 8)[0]
-    words[3] = 0
-    with pytest.raises(DomainError, match="nonzero"):
-        encode_matrix(np.array([0.0, 0.5]), 0, words)
-
-
-def test_matrix_batch_checks_each_job_against_its_own_exponent():
-    words = word_matrix(np.array([1, 2]), 8)
-    with pytest.raises(DomainError):
-        encode_matrix(np.array([[0.5], [1.5]]), np.array([0, 0]), words)
-    bits, _ = encode_matrix(np.array([[0.5], [1.5]]), np.array([0, 1]), words)
-    assert bits.shape == (2, 1, 8)
 
 
 @pytest.mark.parametrize("seq_len", [2.0, 0, "4", None])

@@ -34,7 +34,7 @@ from scop.unit_cell import (
     shift_pack,
     unit_cell_multiply,
 )
-from scop.engine import _checked_jobs
+from scop.engine import _checked_groups
 
 
 @pytest.mark.parametrize("field", ["seed_delta", "seq_len", "x"])
@@ -71,7 +71,7 @@ def test_golden_job():
     assert out.entries.tolist() == [[0.5, -0.5]]
     assert out.rng_draws == 32
     assert out.scale == PowerOfTwoScale(-5)
-    assert out.rows == 1 and out.cols == 2
+    assert out.entries.shape == (1, 2)
 
 
 def test_draw_audit_is_independent_of_width():
@@ -243,6 +243,10 @@ def test_groups_reject_bad_operands_every_call():
     with pytest.raises(ContractError):
         outer_product_groups([(x, x)], 16, seeds)  # four seed pairs for two jobs
     with pytest.raises(ContractError):
+        outer_product_groups([(x, x)], 16, np.vstack([seeds[:, :2], [9, 10]]))  # three rows
+    with pytest.raises(ContractError):
+        outer_product_groups([(x, x)], 16, 7)  # not a pair at all
+    with pytest.raises(ContractError):
         outer_product_groups([], 16, seeds[:, :0])
     with pytest.raises(DomainError):
         outer_product_groups([(x, x), (x, x)], 16, seeds, lr=math.nan)
@@ -296,7 +300,7 @@ def test_apply_update_lr_folded_skips_multiply():
 def test_apply_update_accepts_update_matrix():
     w = np.zeros((1, 1), dtype=np.float16)
     um = UpdateMatrix(np.array([[0.25]], dtype=np.float16), 32, None)
-    w2, _ = apply_update(w, um, lr=1.0, lr_folded=False, momentum=0.0)
+    w2, _ = apply_update(w, um.entries, lr=1.0, lr_folded=False, momentum=0.0)
     assert float(w2[0, 0]) == -0.25
 
 
@@ -482,7 +486,7 @@ def test_batch_and_job_share_one_validator():
         outer_product_many(np.zeros((2, 0)), xs, 16, [1, 2], [3, 4])  # empty operand
     with pytest.raises(DomainError):
         OuterProductJob(xs[0], xs[0], 16, 0x10000, 0x1234)
-    _, _, seeds = _checked_jobs(xs, xs, 16, [1, 2], [3, 4], None)
+    _, seeds = _checked_groups([(xs, xs)], 16, ([1, 2], [3, 4]), None)
     assert seeds.dtype == np.uint16 and seeds.tolist() == [[1, 2], [3, 4]]
 
 
@@ -532,6 +536,28 @@ def test_batch_and_groups_share_one_seed_count_check():
     with pytest.raises(ContractError) as groups:
         outer_product_groups([(xs, xs)], 16, [[1], [3]])
     assert str(many.value) == str(groups.value)
+
+
+@pytest.mark.parametrize("entry", [
+    "OuterProductJob", "outer_product_many", "outer_product_groups", "conv_weight_update",
+])
+def test_each_entry_point_checks_its_seed_pairs_once_per_call(monkeypatch, entry):
+    calls = []
+    real = engine.check_seed_pairs
+    monkeypatch.setattr(engine, "check_seed_pairs", lambda *a: calls.append(a) or real(*a))
+    xs = np.array([[0.5, -0.25], [0.125, 1.0]], dtype=np.float16)
+    run = {
+        "OuterProductJob": lambda: outer_product(OuterProductJob(xs[0], xs[1], 16, 1, 2)),
+        "outer_product_many": lambda: outer_product_many(xs, xs, 16, [1, 3], [2, 4]),
+        "outer_product_groups": lambda: outer_product_groups(  # once checked apart from it
+            [(xs, xs), (xs[:1], xs[:1, :1])], 16, [[1, 3, 5], [2, 4, 6]]
+        ),
+        "conv_weight_update": lambda: conv_weight_update(xs, xs, 16, 1, 2),
+    }[entry]
+    run()
+    assert len(calls) == 1
+    run()
+    assert len(calls) == 2
 
 
 def _per_job(xs, ds, seq_len, sx, sd, lr):

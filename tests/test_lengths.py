@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scop.encoder import check_seq_len, encode
-from scop.engine import OuterProductJob, outer_product, outer_product_many
+from scop.engine import OuterProductJob, outer_product, outer_product_groups, outer_product_many
 from scop.errors import DomainError
 from scop.lfsr import Lfsr, word_matrix
 from scop.oracle import empirical_stats
@@ -29,6 +29,9 @@ ENTRY_POINTS = {
     ),
     "outer_product_many.seq_len": lambda n: _bits(
         outer_product_many(X[None], D[None], n, [1], [2])[0]
+    ),
+    "outer_product_groups.seq_len": lambda n: _bits(
+        outer_product_groups([(X[None], D[None])], n, [[1], [2]])[0]
     ),
     "word_matrix.n": lambda n: word_matrix([1], n).tolist(),
     "Lfsr.next_words": lambda n: Lfsr(1).next_words(n).tolist(),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scop.engine import derive_seed_pairs, outer_product_many
-from scop.errors import DomainError
+from scop.errors import ContractError, DomainError
 from scop.fp16 import MAX_FINITE
 from scop.oracle import (
     analytic_moments,
@@ -155,6 +155,16 @@ def test_empirical_stats_blocks_match_one_float64_reduction(lr):
 @pytest.mark.parametrize("x, d", [([], [0.5]), ([0.5], [])])
 def test_empirical_stats_rejects_an_empty_operand(x, d):
     with pytest.raises(DomainError, match="nonempty"):  # not a ZeroDivisionError sizing blocks
+        empirical_stats(x, d, 16, trials=4)
+
+
+@pytest.mark.parametrize("x, d", [
+    ([[0.5, 0.25]], [0.5]),  # once numpy's "operands could not be broadcast"
+    (0.5, [0.5]),  # once taken as a 1-vector
+    ([0.5], [[0.5], [0.25]]),
+])
+def test_empirical_stats_takes_only_vectors(x, d):
+    with pytest.raises(ContractError, match="1-D"):
         empirical_stats(x, d, 16, trials=4)
 
 

@@ -9,6 +9,7 @@ from scop.engine import (
     derive_seed,
     derive_seed_pairs,
     outer_product,
+    outer_product_groups,
     outer_product_many,
 )
 from scop.errors import ContractError, DomainError, SeedError
@@ -44,6 +45,9 @@ ENTRY_POINTS = {
     ),
     "outer_product_many": lambda s: _bits(
         outer_product_many(X[None], D[None], 16, [s], [OTHER])[0]
+    ),
+    "outer_product_groups": lambda s: _bits(
+        outer_product_groups([(X[None], D[None])], 16, [[s], [OTHER]])[0]
     ),
     "derive_seed_pairs.base_x": lambda s: [
         a.tolist() for a in derive_seed_pairs(s, OTHER, np.arange(8))

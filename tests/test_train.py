@@ -111,6 +111,8 @@ def test_parse_config_rejects_unknown_key():
 def test_parse_config_rejects_bad_syntax():
     with pytest.raises(DomainError):
         parse_config("epochs 5")
+    with pytest.raises(DomainError, match="line 2: epochs"):
+        parse_config("epochs = 3\nepochs = 5")  # the second once won silently
 
 
 def test_digits_requires_path():
