@@ -5,16 +5,19 @@ against E_D likewise, using exactly one generator per vector: every element
 of x sees the same seq_len words, every element of delta sees the other
 seq_len words. Entry (j, i) of the update is the unit-cell product of
 delta_j and x_i, so a full N_D x N_X matrix costs 2 * seq_len draws total.
-A job whose x or delta is all zeros short-circuits to the zero matrix and
-draws nothing. The core returns the draw count that every caller reports.
+A dead job, whose x or delta is all zeros, yields the zero matrix and, as
+the hardware short-circuits it, counts no draws. The core returns the draw
+count that every caller reports.
 
 Single jobs, batches, conv updates and a training step's layers (one group
 of same-shape jobs per layer) share one call check, _checked_groups (a job
-runs it when built), and one core. Once per call, over one flat array of
-every group's x rows and then delta rows, the core finds each (side, job)
-peak, the live jobs, the exponents, the levels (encoder.encode_levels) and
-sign offsets, the words, the scales and the pack table. Each group then
-compares its levels with its jobs' words, and counts and packs its entries:
+runs it when built), and one core with one path for every job. Once per
+call, over one flat array of every group's x rows and then delta rows, the
+core finds each (side, job) peak, the live jobs (for the draw count), and
+every job's exponents, levels (encoder.encode_levels) and sign offsets,
+words, scales and pack table. Each group then compares its levels with its
+jobs' words, and counts and packs its entries (a dead job's all-zero side
+encodes to level 0, so each of its counts is 0, which packs +0):
 
 * count: each row of stream bits is packed into machine words (np.packbits;
   one uint8/16/32/64 word when the row fills 1, 2, 4 or 8 bytes, else
@@ -31,11 +34,10 @@ whole jobs, or a block of one job's delta rows. Their per-entry temporaries
 (the AND word, its popcount, the uint16 and the int64 gather index, up to
 19 bytes an entry) then stay in cache rather than stream through memory at
 the size of the whole update. A tile writes straight into its slice of the
-output or, when some jobs are dead, is scattered to its live jobs' rows.
-Below 2^15 entries the per-tile calls cost up to 20%; at 2^16 a mid-size
-job after a large one (whose frees shrink the heap) page-faults its
-temporaries back in: 176 faults against 64 for 256 x 256 at seq_len 16,
-enough to lift the median op of a mixed run of jobs 10%.
+output. Below 2^15 entries the per-tile calls cost up to 20%; at 2^16 a
+mid-size job after a large one (whose frees shrink the heap) page-faults
+its temporaries back in: 176 faults against 64 for 256 x 256 at seq_len
+16, enough to lift the median op of a mixed run of jobs 10%.
 
 apply_update folds the matrix into weights with momentum, every arithmetic
 step rounded to binary16.
@@ -152,7 +154,8 @@ def _stream_words(bits: np.ndarray) -> np.ndarray:
         padded = np.zeros(bits.shape[:-1] + (width,), dtype=bool)
         padded[..., :seq_len] = bits
         bits = padded
-    words = np.packbits(bits.reshape(-1)).view(word).reshape(bits.shape[:-1] + (-1,))
+    words = np.packbits(bits.reshape(-1)).view(word)  # a group of no jobs packs no words
+    words = words.reshape(bits.shape[:-1] + (width // word_bits,))
     return np.ascontiguousarray(words.transpose(2, 0, 1))
 
 
@@ -176,9 +179,10 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
 
     Group g is a float16 (xs, deltas) pair, (B_g, n_x) and (B_g, n_d); seeds
     is (2, sum B_g), one column per job in group order. Entries are
-    (B_g, n_d, n_x) binary16. Only live jobs, whose operands are both
-    nonzero, draw words: draws is 2 * seq_len per live job, and the
-    exponents are the live jobs', None when no job is live.
+    (B_g, n_d, n_x) binary16. Every job runs the same path and has an
+    exponent; draws is 2 * seq_len per live job (both operands nonzero),
+    the hardware's count. A call with no live job returns zeros, 0 draws
+    and None for the exponents.
     """
     # every group's x rows, then every group's delta rows: one segment per (side, job)
     operands = [group[side] for side in (0, 1) for group in groups]
@@ -197,27 +201,17 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
     levels = encode_levels(mags, exps.reshape(-1).repeat(lengths))
     # a sign bit's offset to the negative row of the table; a signed zero counts 0, which packs +0
     flips = (flat.view(np.uint16) >> 15) * np.uint16(seq_len + 1)
-    all_live = live.all()
-    jobs = slice(None) if all_live else live  # a mask copies, a slice does not
-    e_x, e_d = exps[:, jobs]
-    words = word_matrix(seeds[:, jobs].reshape(-1), seq_len).reshape(2, e_x.size, seq_len)
+    e_x, e_d = exps
+    words = word_matrix(seeds.reshape(-1), seq_len).reshape(2, e_x.size, seq_len)
     exponents = scale_exponents(e_x, e_d, seq_len, lr)
     table = _pack_table(seq_len, exponents).reshape(-1)
     # each operand's (levels, sign offsets) in its shape: the x sides, then the deltas
     coded = [(levels[e - v.size : e].reshape(v.shape), flips[e - v.size : e].reshape(v.shape))
              for v, e in zip(operands, itertools.accumulate(v.size for v in operands))]
-    start = first = 0  # the group's first job, and its first live job
+    first = 0  # the group's first job
     for entries, (level_x, flip_x), (level_d, flip_d) in zip(out, coded, coded[len(out):]):
-        g_live = live[start : start + len(level_x)]
-        start += len(level_x)
-        rows = slice(first, first + int(np.count_nonzero(g_live)))
+        rows = slice(first, first + len(level_x))
         first = rows.stop
-        if rows.start == rows.stop:
-            continue
-        if not all_live:
-            level_x, flip_x = level_x[g_live], flip_x[g_live]
-            level_d, flip_d = level_d[g_live], flip_d[g_live]
-            at_job = np.flatnonzero(g_live)  # a live job's index in entries
         words_d = _stream_words(level_d[:, :, None] >= words[1, rows, None, :])
         words_x = _stream_words(level_x[:, :, None] >= words[0, rows, None, :])
         at = np.arange(2 * rows.start, 2 * rows.stop, 2)[:, None, None] * (seq_len + 1)
@@ -226,24 +220,20 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
         tile_rows = min(n_d, max(1, _TILE // n_x))  # or of one job's delta rows
         for lo, top in itertools.product(range(0, len(at), tile_jobs), range(0, n_d, tile_rows)):
             j, t = slice(lo, lo + tile_jobs), slice(top, top + tile_rows)
-            tile = (words_d[:, j, t], words_x[:, j], flip_d[j, t], flip_x[j], at[j], table)
-            if all_live:  # the gather stores into entries
-                _count_pack(*tile, out=entries[j, t])
-            else:  # into the live jobs' rows; the dead keep their zeros
-                entries[at_job[j], t] = _count_pack(*tile)
+            _count_pack(words_d[:, j, t], words_x[:, j], flip_d[j, t], flip_x[j], at[j], table,
+                        out=entries[j, t])
     return out, draws, exponents
 
 
-def _count_pack(words_d, words_x, flip_d, flip_x, at, table, out=None) -> np.ndarray:
-    """Count and pack one tile of jobs: (B, r, n_x) binary16, stored into out if given.
+def _count_pack(words_d, words_x, flip_d, flip_x, at, table, out) -> None:
+    """Count and pack one tile of jobs into out, its (B, r, n_x) binary16 entries.
 
     words_d is (W, B, r) and words_x (W, B, n_x) stream words, flip_d and
     flip_x their uint16 sign offsets (0 or seq_len + 1), and at (B, 1, 1)
     each job's first entry in the flat pack table.
     """
-    shape = words_d.shape[1:] + words_x.shape[-1:]
-    both = np.empty(shape, dtype=words_d.dtype)
-    ones = np.empty(shape, dtype=np.uint8)
+    both = np.empty(out.shape, dtype=words_d.dtype)
+    ones = np.empty(out.shape, dtype=np.uint8)
     # XOR of two offsets that are each 0 or seq_len + 1 is the XOR sign's
     # offset; each entry's count then adds on, below 2^16 as seq_len <= 2048
     index = np.bitwise_xor(flip_d[:, :, None], flip_x[:, None, :])
@@ -251,7 +241,7 @@ def _count_pack(words_d, words_x, flip_d, flip_x, at, table, out=None) -> np.nda
         np.bitwise_and(wd[:, :, None], wx[:, None, :], out=both)
         index += np.bitwise_count(both, out=ones)
     # pack: gather each entry from its job's rows of the table
-    return np.take(table, np.add(index, at), out=out, mode="clip")  # "raise" buffers out
+    np.take(table, np.add(index, at), out=out, mode="clip")  # "raise" buffers out
 
 
 def outer_product(job: OuterProductJob) -> UpdateMatrix:
@@ -360,13 +350,15 @@ def derive_seed_pair(base_x: int, base_delta: int, counter: int) -> tuple[int, i
 def derive_seed_pairs(base_x: int, base_delta: int, counters):
     """Seed pairs for many jobs, one per nonnegative counter: (sx, sd) uint16 arrays.
 
-    Each seed hashes its base word and the counter's low 48 bits down to a
-    nonzero word; a delta seed that equals its x seed is rehashed until
-    they differ.
+    counters is one-dimensional. Each seed hashes its base word and the
+    counter's low 48 bits down to a nonzero word; a delta seed that equals
+    its x seed is rehashed until they differ.
     """
     bases = check_seeds([base_x, base_delta], "base seed").astype(np.uint64)
     bases <<= np.uint64(48)
     counters = np.asarray(counters)
+    if counters.ndim != 1:
+        raise ContractError("counters must be one-dimensional")
     wide = counters.dtype == object  # Python ints too wide for int64, or not ints at all
     if not (counters.dtype.kind in "iu"
             or wide and all(isinstance(c, (int, np.integer)) for c in counters.flat)):

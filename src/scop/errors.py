@@ -20,5 +20,5 @@ class ContractError(Exception):
 
 
 def is_int(value, low: int) -> bool:
-    """True for a Python or numpy integer of at least low; floats never pass."""
-    return isinstance(value, (int, np.integer)) and value >= low
+    """True for a Python or numpy integer of at least low; floats and bools never pass."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low

@@ -26,7 +26,7 @@ import numpy as np
 
 from .datasets import Dataset, generate_two_moons, load_digits_csv
 from .encoder import check_seq_len
-from .engine import apply_update, check_seed_pairs, derive_seed_pairs, outer_product_groups
+from .engine import apply_update, derive_seed_pairs, outer_product_groups
 from .errors import DomainError, is_int
 from .formats import read_text
 from .lfsr import check_seeds
@@ -216,9 +216,10 @@ def train(config: TrainingConfig) -> RunMetrics:
         order = shuffle_rng.permutation(n_train)
         if kind == "stochastic":
             # one seed pair per job: sample i of the step at lo takes counter
-            # (epoch * n_train + lo) * n_layers + layer * b + i in layer `layer`
+            # (epoch * n_train + lo) * n_layers + layer * b + i in layer `layer`;
+            # each step's outer_product_groups call checks its pairs
             counters = epoch * n_train * n_layers + np.arange(n_train * n_layers)
-            plan = check_seed_pairs(*derive_seed_pairs(base_x, base_d, counters))
+            plan = np.array(derive_seed_pairs(base_x, base_d, counters))
         epoch_loss = 0.0
         epoch_hits = 0
         for lo in range(0, n_train, config.batch_size):

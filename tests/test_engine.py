@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import scop.train as train_module
 from scop import engine
 from scop.encoder import encode_with_words, vector_exponent
 from scop.engine import (
@@ -27,6 +28,7 @@ from scop.engine import (
 from scop.errors import ContractError, DomainError, SeedError
 from scop.fp16 import MAX_FINITE, PowerOfTwoScale
 from scop.lfsr import Lfsr
+from scop.train import TrainingConfig, train
 from scop.unit_cell import (
     MAX_SEQ_LEN,
     f_scale,
@@ -462,6 +464,16 @@ def test_underflowing_folded_lr_is_rejected():
         outer_product_many(x[None], x[None], 16, [0xACE1], [0x1234], lr=5e-324)
 
 
+def test_a_dead_jobs_scale_is_checked_like_a_live_jobs():
+    """A dead job runs the live path, so its folded scale is checked like any other job's."""
+    xs = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.float16)  # job 1 is dead
+    lr = 1e-310  # the live job's scale stays positive; the dead job's, at 2^-48, underflows
+    assert outer_product_many(xs[:1], xs[:1], 16, [1], [2], lr)[1] == 32
+    assert outer_product_many(xs[1:], xs[1:], 16, [3], [4], lr)[1] == 0  # no live job
+    with pytest.raises(DomainError, match="lr"):
+        outer_product_many(xs, xs, 16, [1, 3], [2, 4], lr)  # once returned
+
+
 def test_batch_of_broadcast_operands_matches_contiguous_copies():
     """empirical_stats passes np.broadcast_to views; the bits must not depend on layout."""
     rng = np.random.default_rng(5)
@@ -494,6 +506,13 @@ def test_batch_and_job_share_one_validator():
 def test_derive_seed_pairs_rejects_negative_counters(counters):
     with pytest.raises(DomainError):
         derive_seed_pairs(0xACE1, 0x2C9F, counters)
+
+
+@pytest.mark.parametrize("counters", [5, np.arange(4).reshape(2, 2)], ids=["0-d", "2-d"])
+def test_derive_seed_pairs_takes_only_one_dimensional_counters(counters):
+    # equal base seeds make every pair clash; a 0-d counter then raised numpy's TypeError
+    with pytest.raises(ContractError, match="counters must be one-dimensional"):
+        derive_seed_pairs(0xACE1, 0xACE1, counters)
 
 
 def test_derive_seed_counts_only_the_low_48_counter_bits():
@@ -540,24 +559,35 @@ def test_batch_and_groups_share_one_seed_count_check():
 
 @pytest.mark.parametrize("entry", [
     "OuterProductJob", "outer_product_many", "outer_product_groups", "conv_weight_update",
+    "train",
 ])
 def test_each_entry_point_checks_its_seed_pairs_once_per_call(monkeypatch, entry):
     calls = []
     real = engine.check_seed_pairs
-    monkeypatch.setattr(engine, "check_seed_pairs", lambda *a: calls.append(a) or real(*a))
+
+    def counted(*a):
+        calls.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(engine, "check_seed_pairs", counted)
+    monkeypatch.setattr(train_module, "check_seed_pairs", counted, raising=False)
     xs = np.array([[0.5, -0.25], [0.125, 1.0]], dtype=np.float16)
-    run = {
-        "OuterProductJob": lambda: outer_product(OuterProductJob(xs[0], xs[1], 16, 1, 2)),
-        "outer_product_many": lambda: outer_product_many(xs, xs, 16, [1, 3], [2, 4]),
-        "outer_product_groups": lambda: outer_product_groups(  # once checked apart from it
+    # 40 samples train on 32: two epochs of two 16-sample steps
+    fit = TrainingConfig(mode="stochastic(16)", topology=(2, 4, 2), epochs=2, n_samples=40,
+                         batch_size=16)
+    run, checks = {
+        "OuterProductJob": (lambda: outer_product(OuterProductJob(xs[0], xs[1], 16, 1, 2)), 1),
+        "outer_product_many": (lambda: outer_product_many(xs, xs, 16, [1, 3], [2, 4]), 1),
+        "outer_product_groups": (lambda: outer_product_groups(  # once checked apart from it
             [(xs, xs), (xs[:1], xs[:1, :1])], 16, [[1, 3, 5], [2, 4, 6]]
-        ),
-        "conv_weight_update": lambda: conv_weight_update(xs, xs, 16, 1, 2),
+        ), 1),
+        "conv_weight_update": (lambda: conv_weight_update(xs, xs, 16, 1, 2), 1),
+        "train": (lambda: train(fit), 4),  # one check per step, none more per epoch
     }[entry]
     run()
-    assert len(calls) == 1
+    assert len(calls) == checks
     run()
-    assert len(calls) == 2
+    assert len(calls) == 2 * checks
 
 
 def _per_job(xs, ds, seq_len, sx, sd, lr):
@@ -650,7 +680,7 @@ def _tile_case_dead_jobs():
     xs = rng.uniform(-2, 2, (7, 11)).astype(np.float16)
     ds = rng.uniform(-2, 2, (7, 6)).astype(np.float16)
     xs[2] = 0
-    ds[4] = 0  # two dead jobs mid-batch take the masked branch
+    ds[4] = 0  # two dead jobs mid-batch
     sx, sd = derive_seed_pairs(3, 4, np.arange(7))
     return [outer_product_many(xs, ds, 16, sx, sd)[0]]
 
@@ -768,7 +798,7 @@ def test_a_core_call_makes_each_per_call_pass_once(monkeypatch, dead):
                rng.uniform(-1, 1, (4, n_d)).astype(np.float16))
               for n_x, n_d in ((2, 9), (9, 5), (5, 2))]
     if dead:
-        groups[1][0][2] = 0  # the masked branch
+        groups[1][0][2] = 0  # one dead job in a live call
     seeds = check_seed_pairs(*derive_seed_pairs(3, 4, np.arange(12)))
     engine.outer_product_groups(groups, 16, seeds)
     assert sorted(calls) == ["_pack_table", "ceil_exponents", "encode_levels", "word_matrix"]

@@ -1,7 +1,8 @@
 """One integer rule for stream lengths, word counts and trial counts.
 
-A float that names a whole number is still rejected, with DomainError (CLI
-exit 2), before any work; Python ints and numpy integers are accepted.
+A float that names a whole number, or a bool, is still rejected, with
+DomainError (CLI exit 2), before any work; Python ints and numpy integers
+are accepted.
 """
 
 import numpy as np
@@ -40,7 +41,7 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [16.0, 2.5, np.float64(8), "8"], ids=repr)
+@pytest.mark.parametrize("bad", [16.0, 2.5, np.float64(8), "8", True], ids=repr)
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_every_entry_point_rejects_a_non_integer(entry, bad):
     with pytest.raises(DomainError, match="integer"):

@@ -70,6 +70,7 @@ def test_config_validation_names_fields():
     ("batch_size", 8.5),
     ("n_samples", 40.0),
     ("topology", (2, 4.0, 2)),
+    ("epochs", True),  # once trained one epoch
 ])
 def test_config_rejects_a_bad_field_before_training(fieldname, value):
     with pytest.raises(DomainError) as err:

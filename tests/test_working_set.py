@@ -33,11 +33,11 @@ def test_a_large_job_holds_little_beyond_its_output():
     assert _traced_peak(lambda: outer_product(job)) < 8
 
 
-def test_a_batch_with_a_dead_job_scatters_tiles_into_its_output():
+def test_a_batch_with_a_dead_job_holds_little_beyond_its_output():
     rng = np.random.default_rng(2)
     xs = rng.uniform(-1, 1, (2, 1024)).astype(np.float16)
     ds = rng.uniform(-1, 1, (2, 1024)).astype(np.float16)
-    xs[0] = 0  # job 0 is dead, so the live job's entries take the masked branch
+    xs[0] = 0  # job 0 is dead
     # the 4 MiB output; a buffer of the live jobs' entries would add 2 MiB more
     peak = _traced_peak(lambda: outer_product_many(xs, ds, 256, [0xACE1, 7], [0x2C9F, 9]))
     assert peak < 6
