@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import check_seq_len, encode_levels
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, is_int
 from .fp16 import MAX_FINITE, MIN_SUBNORMAL, PowerOfTwoScale, ceil_exponents
 from .lfsr import check_seeds, word_matrix
 from .unit_cell import scale_exponents
@@ -343,12 +343,11 @@ def derive_seed(base: int, counter: int) -> int:
 
 def derive_seed_pair(base_x: int, base_delta: int, counter: int) -> tuple[int, int]:
     """Seeds for one job's two generators, forced distinct."""
-    sx, sd = derive_seed_pairs(base_x, base_delta, [counter])
-    return int(sx[0]), int(sd[0])
+    return tuple(int(s) for s in derive_seed_pairs(base_x, base_delta, [counter])[:, 0])
 
 
-def derive_seed_pairs(base_x: int, base_delta: int, counters):
-    """Seed pairs for many jobs, one per nonnegative counter: (sx, sd) uint16 arrays.
+def derive_seed_pairs(base_x: int, base_delta: int, counters) -> np.ndarray:
+    """Seed pairs for many jobs, one per nonnegative counter: (2, N) uint16, x seeds in row 0.
 
     counters is one-dimensional. Each seed hashes its base word and the
     counter's low 48 bits down to a nonzero word; a delta seed that equals
@@ -361,22 +360,22 @@ def derive_seed_pairs(base_x: int, base_delta: int, counters):
         raise ContractError("counters must be one-dimensional")
     wide = counters.dtype == object  # Python ints too wide for int64, or not ints at all
     if not (counters.dtype.kind in "iu"
-            or wide and all(isinstance(c, (int, np.integer)) for c in counters.flat)):
-        raise DomainError(f"counters must be integers, got dtype {counters.dtype}")
+            or wide and all(is_int(c, 0) for c in counters.flat)):
+        raise DomainError(f"counters must be nonnegative integers, got dtype {counters.dtype}")
     if (counters < 0).any():
         raise DomainError("counter must be nonnegative")
     if wide:
         counters = counters & _COUNTER_MASK
     masked = counters.astype(np.uint64) & np.uint64(_COUNTER_MASK)
     z = _mix64(np.stack((masked | bases[0], masked | bases[1])))
-    sx, sd = _seed_words(z)
+    sx, sd = seeds = _seed_words(z)  # row views: a rehash of sd lands in seeds
     zd = z[1]
     clash = sd == sx
     while clash.any():
         zd[clash] = _mix64(zd[clash])
         sd[clash] = _seed_words(zd[clash])
         clash = sd == sx
-    return sx, sd
+    return seeds
 
 
 def _seed_words(z: np.ndarray) -> np.ndarray:
@@ -398,14 +397,20 @@ def conv_weight_update(
 
     activations is (positions, k) of unrolled patch vectors, gradients is
     (positions, c) of output-channel errors; the result is the (c, k) kernel
-    update, summed position-major with binary16 rounding after each add.
-    Seeds derive from the position index so positions decorrelate.
+    update, the sum_updates of the positions' jobs. Seeds derive from the
+    position index so positions decorrelate.
     """
     positions = len(activations)
     if positions == 0:
         raise DomainError("need at least one position")
-    sx, sd = derive_seed_pairs(base_seed_x, base_seed_delta, np.arange(positions))
-    entries, draws = outer_product_many(activations, gradients, seq_len, sx, sd, lr)
-    # in position order (np.sum may reorder); + 0 sums from +0, so all -0 cells give +0
-    acc = np.add.accumulate(entries, axis=0)[-1] + np.float16(0)
-    return UpdateMatrix(acc, draws, None)
+    seeds = derive_seed_pairs(base_seed_x, base_seed_delta, np.arange(positions))
+    entries, draws = outer_product_many(activations, gradients, seq_len, *seeds, lr)
+    return UpdateMatrix(sum_updates(entries), draws, None)
+
+
+def sum_updates(entries: np.ndarray) -> np.ndarray:
+    """A batch's (B, ...) binary16 updates summed in order from +0, rounding after each add.
+
+    Not np.sum: it may reorder, and on 1 x 1 updates it adds in float32 and rounds once.
+    """
+    return np.add.accumulate(entries, axis=0)[-1] + np.float16(0)

@@ -42,7 +42,7 @@ def exact_outer(x, delta) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
     if x.ndim != 1 or delta.ndim != 1:
-        raise DomainError("expected one-dimensional vectors")
+        raise ContractError("x and delta must be 1-D vectors")
     return np.outer(delta, x)
 
 

@@ -9,7 +9,8 @@ Weight gradients come from one of two per-batch routes, selected by mode:
 
 * exact: float64 mean of per-sample outer products, quantized to binary16.
 * stochastic(M): one outer-product job per sample through the bitstream
-  engine, results averaged in binary16.
+  engine; the jobs are summed in batch order, rounding to binary16 after
+  each add (engine.sum_updates), then multiplied by binary16 1/b.
 
 Bias gradients always take the exact route; the outer-product unit only
 covers the weight grid. Updates are momentum SGD in binary16 either way.
@@ -20,13 +21,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .datasets import Dataset, generate_two_moons, load_digits_csv
 from .encoder import check_seq_len
-from .engine import apply_update, derive_seed_pairs, outer_product_groups
+from .engine import apply_update, derive_seed_pairs, outer_product_groups, sum_updates
 from .errors import DomainError, is_int
 from .formats import read_text
 from .lfsr import check_seeds
@@ -219,7 +220,7 @@ def train(config: TrainingConfig) -> RunMetrics:
             # (epoch * n_train + lo) * n_layers + layer * b + i in layer `layer`;
             # each step's outer_product_groups call checks its pairs
             counters = epoch * n_train * n_layers + np.arange(n_train * n_layers)
-            plan = np.array(derive_seed_pairs(base_x, base_d, counters))
+            plan = derive_seed_pairs(base_x, base_d, counters)
         epoch_loss = 0.0
         epoch_hits = 0
         for lo in range(0, n_train, config.batch_size):
@@ -257,8 +258,7 @@ def train(config: TrainingConfig) -> RunMetrics:
                     metrics.diverged, n = True, finite.index(False)
                     updates = outer_product_groups(
                         layers[:n], seq_len, seeds[:, : n * b], fold) if n else []
-                grads_w = [np.sum(e, axis=0, dtype=np.float16) * np.float16(1.0 / b)
-                           for e in updates]
+                grads_w = [sum_updates(e) * np.float16(1.0 / b) for e in updates]
 
             for layer, grad_w in enumerate(grads_w):
                 grad_b = deltas[layer].astype(np.float64).mean(axis=0).astype(np.float16)
@@ -304,6 +304,7 @@ def write_metrics_jsonl(metrics: RunMetrics, path: str) -> None:
 
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False}
+_DEFAULTS = {f.name: f.default for f in fields(TrainingConfig)}
 
 
 def parse_config(text: str) -> TrainingConfig:
@@ -322,30 +323,24 @@ def parse_config(text: str) -> TrainingConfig:
             raise DomainError(f"line {lineno}: {key} is set twice")
         try:
             kwargs[key] = _parse_field(key, value)
-        except DomainError:
-            raise
         except ValueError as exc:
             raise DomainError(f"{key}: {exc}") from exc
     return TrainingConfig(**kwargs)
 
 
 def _parse_field(key: str, value: str):
-    if key == "topology":
+    if key not in _DEFAULTS:
+        raise ValueError("unknown configuration key")
+    default = _DEFAULTS[key]
+    if isinstance(default, bool):  # before int: a bool is an int
+        if value.lower() not in _BOOL_WORDS:
+            raise ValueError(f"expected true/false, got {value!r}")
+        return _BOOL_WORDS[value.lower()]
+    if isinstance(default, tuple):
         return tuple(int(v) for v in value.split(","))
-    if key in ("epochs", "batch_size", "n_samples", "seed_data", "seed_init"):
-        return int(value)
-    if key == "seed_sc":
-        return int(value, 0)  # accepts hex like 0xACE1
-    if key in ("lr", "momentum", "noise"):
-        return float(value)
-    if key in ("mode", "dataset", "dataset_path"):
-        return value
-    if key == "lr_folded":
-        word = value.lower()
-        if word not in _BOOL_WORDS:
-            raise DomainError(f"lr_folded: expected true/false, got {value!r}")
-        return _BOOL_WORDS[word]
-    raise DomainError(f"{key}: unknown configuration key")
+    if isinstance(default, int):
+        return int(value, 0 if key == "seed_sc" else 10)  # seed_sc takes hex like 0xACE1
+    return float(value) if isinstance(default, float) else value
 
 
 def load_config(path: str) -> TrainingConfig:

@@ -346,6 +346,14 @@ def test_derive_seed_pairs_matches_scalar():
         assert (int(sx[c]), int(sd[c])) == derive_seed_pair(0xACE1, 0x2C9F, c)
 
 
+@pytest.mark.parametrize("bases", [(0xACE1, 0x2C9F), (7, 7)],
+                         ids=["distinct", "every-pair-rehashed"])
+def test_derive_seed_pairs_returns_the_seed_array_the_engine_takes(bases):
+    pairs = derive_seed_pairs(*bases, np.arange(50))
+    assert isinstance(pairs, np.ndarray) and pairs.dtype == np.uint16 and pairs.shape == (2, 50)
+    assert np.array_equal(pairs, check_seed_pairs(*pairs))  # a rehashed delta row lands in pairs
+
+
 def test_conv_weight_update_accumulates_positions():
     rng = np.random.default_rng(3)
     acts = rng.uniform(-1, 1, (4, 5)).astype(np.float16)

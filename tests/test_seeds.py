@@ -118,6 +118,8 @@ def test_a_mixed_seed_list_is_judged_element_by_element():
 def test_a_non_integer_among_wide_counters_is_rejected():
     with pytest.raises(DomainError, match="integer"):
         derive_seed_pairs(1, 2, [2**70, 1.5])  # once a bare TypeError
+    with pytest.raises(DomainError, match="integer"):
+        derive_seed_pairs(1, 2, [True, 2**70])  # once the seeds of [1, 2**70]
     assert _bits(derive_seed_pairs(1, 2, [2**70 + 5, 3])) == _bits(
         derive_seed_pairs(1, 2, [5, 3])
     )

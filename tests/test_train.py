@@ -114,6 +114,12 @@ def test_parse_config_rejects_bad_syntax():
         parse_config("epochs 5")
     with pytest.raises(DomainError, match="line 2: epochs"):
         parse_config("epochs = 3\nepochs = 5")  # the second once won silently
+    with pytest.raises(DomainError, match="^weight_decay: unknown configuration key$"):
+        parse_config("weight_decay = 0.1")
+    with pytest.raises(DomainError, match="^epochs: invalid literal for int"):
+        parse_config("epochs = abc")
+    with pytest.raises(DomainError, match="^lr_folded: expected true/false, got 'maybe'$"):
+        parse_config("lr_folded = maybe")
 
 
 def test_digits_requires_path():
@@ -278,6 +284,33 @@ def test_diverging_step_updates_the_layers_before_the_first_non_finite_one(
     for k, (old, new) in enumerate(zip(before[-1], after)):
         changed = not np.array_equal(old.view(np.uint16), new.view(np.uint16))
         assert changed == (k % n in updated), k
+
+
+def test_a_one_to_one_layers_batch_is_summed_one_binary16_add_at_a_time(monkeypatch):
+    """[2048, 1, ..., 1] sums to 2048 in binary16 adds; np.sum added it in float32 (2080)."""
+    groups, apply = train_module.outer_product_groups, train_module.apply_update
+    batches, updates = [], []
+
+    def forged_groups(layers, *args):
+        entries = groups(layers, *args)
+        if not batches:  # the first step: the 1 -> 1 layer gets [2048, 1, ..., 1]
+            batches.append(len(layers[1][0]))
+            entries[1] = np.ones_like(entries[1])
+            entries[1][0] = 2048
+        return entries
+
+    def recorded_apply(weights, update, *args):
+        updates.append(np.asarray(update))
+        return apply(weights, update, *args)
+
+    monkeypatch.setattr(train_module, "outer_product_groups", forged_groups)
+    monkeypatch.setattr(train_module, "apply_update", recorded_apply)
+    train(_tiny("stochastic(16)", topology=(2, 1, 1, 2), epochs=1))
+    (b,) = batches
+    assert b == 32
+    # the first step applies layer 0's weights and bias, then layer 1's weights
+    want = np.float16(2048) * np.float16(1.0 / b)
+    assert updates[2].view(np.uint16).tolist() == [[int(want.view(np.uint16))]]
 
 
 def test_load_config_rejects_non_utf8_bytes(tmp_path):
