@@ -4,11 +4,12 @@ A value x with |x| <= 2^E is carried as (sign, bitstream): event k emits a 1
 when |x| >= w_k / 2^16 * 2^E for the k-th pseudo-random word w_k, so
 P(bit = 1) tracks |x| / 2^E. The threshold is built from the word by exponent
 adjustment alone (ldexp), mirroring a comparator datapath with no multiplier
-or divider. encode_with_words is that reference; encode_levels shifts |x|
-into a 16-bit level instead, which the engine compares with the words as
-integers (level >= w), so every event is decided the same way. x = 0 is
-the all-zero stream (no word is zero), which annihilates products
-regardless of the partner stream.
+or divider; a threshold beyond the float range is inf, above every operand,
+so any integer exponent works. encode_with_words is that reference;
+encode_levels shifts |x| into a 16-bit level instead, which the engine
+compares with the words as integers (level >= w), so every event is decided
+the same way. x = 0 is the all-zero stream (no word is zero), which
+annihilates products regardless of the partner stream.
 
 Bitstreams are packed LSB-first: bit k of the integer is event k.
 """
@@ -77,8 +78,11 @@ def vector_exponent(values) -> VectorExponent:
 
 
 def threshold(word: int, exponent: int) -> float:
-    """w / 2^16 scaled by 2^E, composed by exponent adjustment only."""
-    return math.ldexp(word, exponent - WIDTH)
+    """w / 2^16 scaled by 2^E, composed by exponent adjustment only; inf past the float range."""
+    try:
+        return math.ldexp(word, exponent - WIDTH)
+    except OverflowError:  # above every finite |x|: the event does not fire
+        return math.inf
 
 
 def encode_with_words(x: float, exponent: int, words) -> StochasticSequence:
@@ -124,5 +128,6 @@ def encode_levels(magnitudes: np.ndarray, exponents) -> np.ndarray:
 def _check_operand(x: float, exponent: int) -> None:
     if not math.isfinite(x):
         raise DomainError("operand must be finite")
-    if abs(x) > math.ldexp(1.0, exponent):
+    mantissa, power = math.frexp(abs(x))  # |x| > 2^E, decided without forming 2^E
+    if x and power - (mantissa == 0.5) > exponent:
         raise DomainError(f"|x| = {abs(x)} exceeds 2^{exponent}")

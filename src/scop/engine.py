@@ -34,10 +34,26 @@ whole jobs, or a block of one job's delta rows. Their per-entry temporaries
 (the AND word, its popcount, the uint16 and the int64 gather index, up to
 19 bytes an entry) then stay in cache rather than stream through memory at
 the size of the whole update. A tile writes straight into its slice of the
-output. Below 2^15 entries the per-tile calls cost up to 20%; at 2^16 a
-mid-size job after a large one (whose frees shrink the heap) page-faults
-its temporaries back in: 176 faults against 64 for 256 x 256 at seq_len
-16, enough to lift the median op of a mixed run of jobs 10%.
+output (a prefix tile, below, into its rows). Below 2^15 entries the
+per-tile calls cost up to 20%; at 2^16 a mid-size job after a large one
+(whose frees shrink the heap) page-faults its temporaries back in: 176
+faults against 64 for 256 x 256 at seq_len 16, enough to lift the median
+op of a mixed run of jobs 10%.
+
+A job tiled by its delta rows whose streams span more than one 64-bit word
+ANDs one word per tile. A count is a sum over events, so the job may take
+its events in any order without moving an output bit; it takes them in
+ascending order of its delta words. Every delta element is compared with the
+same words, so in that order delta row j's stream is a prefix: r_j ones, one
+for each word at or below its level, then zeros. The rows are sorted by r_j
+and tiled so that a tile's prefixes all end in one stream word w. A tile
+starts each entry's table index at the XOR sign's offset plus its x
+column's popcount over the words before w (one (W, 2, n_x) uint16 table per
+job), ANDs and popcounts word w alone with a prefix mask, and writes its
+rows back in their original order. A 1024 x 1024 job at seq_len 2048 makes
+about 50 word passes instead of 1,024. Whole-job tiles, which every training
+step and every empirical_stats block use, and jobs whose streams fit one
+word count every word as above.
 
 apply_update folds the matrix into weights with momentum, every arithmetic
 step rounded to binary16.
@@ -159,6 +175,10 @@ def _stream_words(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words.transpose(2, 0, 1))
 
 
+# a word whose first c events fire, c = 0..64, packed as _stream_words packs 64 events
+_PREFIX_WORDS = _stream_words((np.arange(64) < np.arange(65)[:, None])[None]).reshape(65)
+
+
 def _pack_table(seq_len: int, exponents) -> np.ndarray:
     """(B, 2, seq_len + 1) binary16: [b, sign, count] is the cell output at scale 2^exponents[b].
 
@@ -204,7 +224,8 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
     e_x, e_d = exps
     words = word_matrix(seeds.reshape(-1), seq_len).reshape(2, e_x.size, seq_len)
     exponents = scale_exponents(e_x, e_d, seq_len, lr)
-    table = _pack_table(seq_len, exponents).reshape(-1)
+    tables = _pack_table(seq_len, exponents)
+    table = tables.reshape(-1)
     # each operand's (levels, sign offsets) in its shape: the x sides, then the deltas
     coded = [(levels[e - v.size : e].reshape(v.shape), flips[e - v.size : e].reshape(v.shape))
              for v, e in zip(operands, itertools.accumulate(v.size for v in operands))]
@@ -212,36 +233,74 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
     for entries, (level_x, flip_x), (level_d, flip_d) in zip(out, coded, coded[len(out):]):
         rows = slice(first, first + len(level_x))
         first = rows.stop
-        words_d = _stream_words(level_d[:, :, None] >= words[1, rows, None, :])
-        words_x = _stream_words(level_x[:, :, None] >= words[0, rows, None, :])
-        at = np.arange(2 * rows.start, 2 * rows.stop, 2)[:, None, None] * (seq_len + 1)
         n_d, n_x = entries.shape[1:]
         tile_jobs = max(1, _TILE // (n_d * n_x))  # a tile is a block of whole jobs,
         tile_rows = min(n_d, max(1, _TILE // n_x))  # or of one job's delta rows
+        if n_d * n_x > _TILE and seq_len > 64:  # row tiles of streams wider than a word
+            _count_pack_prefixes(words[:, rows], level_x, level_d, flip_x, flip_d, tables[rows],
+                                 tile_rows, entries)
+            continue
+        at = np.arange(2 * rows.start, 2 * rows.stop, 2)[:, None, None] * (seq_len + 1)
+        words_d = _stream_words(level_d[:, :, None] >= words[1, rows, None, :])
+        words_x = _stream_words(level_x[:, :, None] >= words[0, rows, None, :])
         for lo, top in itertools.product(range(0, len(at), tile_jobs), range(0, n_d, tile_rows)):
             j, t = slice(lo, lo + tile_jobs), slice(top, top + tile_rows)
-            _count_pack(words_d[:, j, t], words_x[:, j], flip_d[j, t], flip_x[j], at[j], table,
-                        out=entries[j, t])
+            # XOR of two offsets that are each 0 or seq_len + 1 is the XOR sign's offset
+            index = np.bitwise_xor(flip_d[j, t][:, :, None], flip_x[j][:, None, :])
+            _count_pack(words_d[:, j, t], words_x[:, j], index, table, at[j], out=entries[j, t])
     return out, draws, exponents
 
 
-def _count_pack(words_d, words_x, flip_d, flip_x, at, table, out) -> None:
-    """Count and pack one tile of jobs into out, its (B, r, n_x) binary16 entries.
+def _count_pack_prefixes(words, level_x, level_d, flip_x, flip_d, tables, tile_rows, out):
+    """Count and pack one group's jobs, tiles of delta rows, with events in delta word order.
 
-    words_d is (W, B, r) and words_x (W, B, n_x) stream words, flip_d and
-    flip_x their uint16 sign offsets (0 or seq_len + 1), and at (B, 1, 1)
-    each job's first entry in the flat pack table.
+    words is (2, B, seq_len), the jobs' x and delta words, tables their pack
+    tables and out their (B, n_d, n_x) entries; see the module docstring.
     """
-    both = np.empty(out.shape, dtype=words_d.dtype)
-    ones = np.empty(out.shape, dtype=np.uint8)
-    # XOR of two offsets that are each 0 or seq_len + 1 is the XOR sign's
-    # offset; each entry's count then adds on, below 2^16 as seq_len <= 2048
-    index = np.bitwise_xor(flip_d[:, :, None], flip_x[:, None, :])
+    order = np.argsort(words[1], axis=1)
+    words_x = _stream_words(level_x[:, :, None] >= np.take_along_axis(words[0], order, 1)[:, None])
+    # starts[w, b, s, i]: job b's table index for x_i against a delta of sign s, before
+    # counting word w: the XOR sign's offset plus x_i's events in the words before w
+    counts = np.zeros(words_x.shape, dtype=np.uint16)
+    np.cumsum(np.bitwise_count(words_x[:-1]), axis=0, dtype=np.uint16, out=counts[1:])
+    negative = np.uint16(tables.shape[-1])  # seq_len + 1, the negative row's offset
+    starts = counts[:, :, None] + np.stack((flip_x, flip_x ^ negative), axis=1)
+    for b, sorted_d in enumerate(np.take_along_axis(words[1], order, 1)):
+        ends = np.searchsorted(sorted_d, level_d[b], side="right")  # r_j: the words <= level_j
+        signs = (flip_d[b] != 0).astype(np.intp)
+        by_end = np.argsort(ends)
+        # a tile is at most tile_rows sorted rows whose prefixes end in one word
+        # (word 0 for an empty prefix): it ANDs that word alone
+        last = (np.maximum(ends[by_end], 1) - 1) // 64
+        runs = [*np.unique(last, return_index=True)[1], len(last)]
+        for lo, hi in itertools.pairwise(runs):
+            w = last[lo]
+            for top in range(lo, hi, tile_rows):
+                tile = by_end[top : min(top + tile_rows, hi)]
+                out[b, tile] = _count_pack(
+                    _PREFIX_WORDS[ends[tile] - 64 * w][None, None], words_x[w, b][None, None],
+                    starts[w, b][signs[tile]][None], tables[b].reshape(-1),
+                )[0]
+
+
+def _count_pack(words_d, words_x, index, table, at=None, out=None):
+    """Count and pack one tile of jobs into out, or a new array: (B, r, n_x) binary16 entries.
+
+    words_d is (W, B, r) and words_x (W, B, n_x) stream words. index is
+    (B, r, n_x) uint16, each entry's start in its job's pack table: the XOR
+    sign's offset (0 or seq_len + 1), plus any count before the words
+    passed; each word's count adds on, below 2^16 as seq_len <= 2048. at,
+    if given, is (B, 1, 1), each job's first entry in table.
+    """
+    both = np.empty(index.shape, dtype=words_d.dtype)
+    ones = np.empty(index.shape, dtype=np.uint8)
     for wd, wx in zip(words_d, words_x):  # count: AND + popcount per stream word
         np.bitwise_and(wd[:, :, None], wx[:, None, :], out=both)
         index += np.bitwise_count(both, out=ones)
     # pack: gather each entry from its job's rows of the table
-    np.take(table, np.add(index, at), out=out, mode="clip")  # "raise" buffers out
+    if at is not None:
+        index = np.add(index, at)
+    return np.take(table, index, out=out, mode="clip")  # "raise" buffers out
 
 
 def outer_product(job: OuterProductJob) -> UpdateMatrix:

@@ -68,6 +68,23 @@ def test_encode_out_of_range_exit_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("value, exponent", [("0", "1024"), ("3", "1100")])
+def test_encode_exponent_past_the_float_range(value, exponent):
+    r = run_cli("encode", "--value", value, "--seq-len", "4", "--seed", "1",
+                "--exponent", exponent)
+    assert r.returncode == 0 and r.stderr == ""
+    lines = dict(l.split("=", 1) for l in r.stdout.splitlines())
+    assert (lines["bits"], lines["probability"]) == ("0x0", "0.0")
+
+
+def test_encode_exponent_below_the_value_exit_2():
+    r = run_cli("encode", "--value", "1e-300", "--seq-len", "4", "--seed", "1",
+                "--exponent", "-1100")
+    assert r.returncode == 2
+    assert "2^-1100" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_encode_seq_len_above_cell_bound_exit_2():
     r = run_cli("encode", "--value", "0.5", "--seq-len", "5000", "--seed", "ACE1")
     assert r.returncode == 2

@@ -116,6 +116,37 @@ def test_probability_of():
         probability_of(3.0, 1)
 
 
+@pytest.mark.parametrize("x, exponent, bits", [
+    (3.0, 1100, 0b00),  # every threshold lies beyond the float range: no event fires
+    (-3.0, 1100, 0b00),
+    (0.0, 1024, 0b00),
+    (0.0, -2000, 0b00),  # only zero lies within 2^-2000
+    (2.0**1023, 1023, 0b11),  # |x| == 2^E fires every word
+    (1.7976931348623157e308, 1024, 0b11),  # the largest float
+    (5e-324, -1074, 0b11),  # the least subnormal, at its own exponent
+])
+def test_exponents_past_the_float_range_decide_every_event(x, exponent, bits):
+    seq = encode_with_words(x, exponent, [1, 0xFFFF])
+    assert (seq.bits, seq.sign) == (bits, int(x < 0))
+    assert probability_of(x, exponent) == math.ldexp(abs(x), -exponent)  # no OverflowError
+
+
+@pytest.mark.parametrize("x, exponent", [
+    (1e-300, -1100), (2.0**1023 * 1.5, 1023), (5e-324, -1075), (1.0, -10**30),
+])
+def test_an_operand_beyond_any_exponent_is_a_domain_error(x, exponent):
+    with pytest.raises(DomainError, match="exceeds"):
+        encode_with_words(x, exponent, [1])
+    with pytest.raises(DomainError, match="exceeds"):
+        probability_of(x, exponent)
+
+
+def test_a_threshold_beyond_the_float_range_is_inf():
+    assert threshold(0xFFFF, 1024) == math.ldexp(0xFFFF, 1008)  # still finite
+    assert threshold(1, 1100) == math.inf  # above every finite |x|
+    assert threshold(0, 1100) == 0.0
+
+
 def test_vector_exponent():
     ve = vector_exponent([0.1, -0.6, 0.3])
     assert (ve.exponent, ve.is_zero_vector) == (0, False)

@@ -1,6 +1,7 @@
 """Engine tests: draw audit, golden matrix, and per-cell agreement."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import scop.train as train_module
 from scop import engine
-from scop.encoder import encode_with_words, vector_exponent
+from scop.encoder import encode_levels, encode_with_words, vector_exponent
 from scop.engine import (
     OuterProductJob,
     UpdateMatrix,
@@ -714,6 +715,99 @@ def test_tile_boundaries_do_not_change_a_bit(monkeypatch, case, tile):
     monkeypatch.setattr(engine, "_TILE", tile)
     got = [entries.view(np.uint16) for entries in case()]
     assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(got) == len(want)
+
+
+def _delta_with_prefixes(rng, power, seq_len, seed_d, extra):
+    """A delta of peak 2^power whose streams, in delta word order, end at 0, seq_len and k * 64.
+
+    Rows: the peak (it fires every word), +0 and -0 (none), one value for
+    each prefix length k * 64 that some binary16 value reaches, then extra
+    random ones.
+    """
+    words = np.sort(Lfsr(seed_d).next_words(seq_len))
+    values = np.arange(1, 0x7C00, dtype=np.uint16).view(np.float16).astype(np.float64)
+    values = values[values <= 2.0**power]
+    ends = np.searchsorted(words, encode_levels(values, power), side="right")
+    _, firsts = np.unique(ends, return_index=True)
+    on_words = values[firsts[ends[firsts] % 64 == 0]]
+    rows = [2.0**power, 0.0, -0.0, *(on_words * rng.choice((-1, 1), on_words.size)),
+            *(rng.uniform(-1, 1, extra) * 2.0**power)]
+    return np.array(rows, dtype=np.float16)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seq_len=st.sampled_from((65, 100, 128, 129, MAX_SEQ_LEN)),
+    jobs=st.integers(1, 2),
+    n_x=st.integers(2, 9),
+    extra=st.integers(2, 12),
+    powers=st.tuples(st.integers(-12, 15), st.integers(-12, 15)),
+    lr=st.sampled_from((None, 0.05)),
+    counter=st.integers(0, 2**20),
+    dead=st.sampled_from(("none", "zero x", "zero delta")),
+)
+@example(  # lr folded to a saturating scale: every nonzero count packs to max finite
+    seq_len=65, jobs=2, n_x=5, extra=4, powers=(15, 15), lr=0.05, counter=1, dead="none",
+)
+@example(  # and to a subnormal one
+    seq_len=MAX_SEQ_LEN, jobs=2, n_x=5, extra=4, powers=(-6, -6), lr=0.05, counter=2,
+    dead="zero delta",
+)
+def test_prefix_tiles_match_whole_job_tiles_and_the_scalar_route(
+    seq_len, jobs, n_x, extra, powers, lr, counter, dead,
+):
+    """Jobs on row tiles in delta word order, forced by a small _TILE, against whole-job tiles."""
+    rng = np.random.default_rng(counter)
+    sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, counter + np.arange(jobs))
+    xs = (rng.uniform(-1, 1, (jobs, n_x)) * 2.0 ** powers[0]).astype(np.float16)
+    deltas = [_delta_with_prefixes(rng, powers[1], seq_len, int(s), extra) for s in sd]
+    n_d = max(map(len, deltas))
+    ds = np.stack([np.pad(d, (0, n_d - len(d)), constant_values=2.0 ** powers[1] / 3)
+                   for d in deltas])
+    if dead == "zero x":
+        xs[0] = 0
+    elif dead == "zero delta":
+        ds[-1] = 0
+    want, draws = outer_product_many(xs, ds, seq_len, sx, sd, lr)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_TILE", 7)
+        got, got_draws = outer_product_many(xs, ds, seq_len, sx, sd, lr)
+    assert np.array_equal(got.view(np.uint16), want.view(np.uint16)) and got_draws == draws
+    for k in range(jobs):
+        for j, i in itertools.product((0, 1, 2, 3, 4, n_d - 1), (np.abs(xs[k]).argmax(), n_x - 1)):
+            cell = _scalar_cell(xs[k], ds[k], i, j, seq_len, int(sx[k]), int(sd[k]), lr)
+            assert got[k, j, i].view(np.uint16) == cell, (k, j, i)
+
+
+def _large_job():
+    """One 1024 x 1024 job at seq_len 2048, the largest shape outer_grid runs."""
+    rng = np.random.default_rng(21)
+    x = (rng.uniform(-1, 1, 1024) * 2.0 ** rng.integers(-8, 0, 1024)).astype(np.float16)
+    d = (rng.uniform(-1, 1, 1024) * 2.0 ** rng.integers(-8, 0, 1024)).astype(np.float16)
+    d[:16] = 0  # rows whose streams fire no event
+    return OuterProductJob(x, d, MAX_SEQ_LEN, 0xACE1, 0x2C9F, 0.05)
+
+
+def test_a_large_job_ands_only_the_words_its_row_tiles_end_in(monkeypatch):
+    """32 stream words, 32 blocks of 32 rows: at most W + 2 * 32 = 96 AND/popcount passes."""
+    passes = []
+    count_pack = engine._count_pack
+    monkeypatch.setattr(engine, "_count_pack",
+                        lambda words_d, *a, **k: passes.append(len(words_d)) or count_pack(
+                            words_d, *a, **k))
+    outer_product(_large_job())
+    assert 0 < sum(passes) <= 96  # every word of every tile would be 1,024
+
+
+def test_a_large_job_matches_the_scalar_route_on_sampled_cells():
+    job = _large_job()
+    got = outer_product(job).entries
+    rng = np.random.default_rng(22)
+    cells = [(np.abs(job.delta).argmax(), np.abs(job.x).argmax()), (0, 5),
+             *zip(rng.integers(0, 1024, 6), rng.integers(0, 1024, 6))]
+    for j, i in cells:
+        cell = _scalar_cell(job.x, job.delta, i, j, job.seq_len, job.seed_x, job.seed_delta, job.lr)
+        assert got[j, i].view(np.uint16) == cell, (j, i)
 
 
 @pytest.mark.parametrize("x, d", [
