@@ -5,11 +5,12 @@ when |x| >= w_k / 2^16 * 2^E for the k-th pseudo-random word w_k, so
 P(bit = 1) tracks |x| / 2^E. The threshold is built from the word by exponent
 adjustment alone (ldexp), mirroring a comparator datapath with no multiplier
 or divider; a threshold beyond the float range is inf, above every operand,
-so any integer exponent works. encode_with_words is that reference;
-encode_levels shifts |x| into a 16-bit level instead, which the engine
-compares with the words as integers (level >= w), so every event is decided
-the same way. x = 0 is the all-zero stream (no word is zero), which
-annihilates products regardless of the partner stream.
+so any integer exponent works, a numpy one too (operator.index; a float is
+a TypeError). encode_with_words is that reference; encode_levels shifts |x|
+into a 16-bit level instead, which the engine compares with the words as
+integers (level >= w), so every event is decided the same way. x = 0 is
+the all-zero stream (no word is zero), which annihilates products
+regardless of the partner stream.
 
 Bitstreams are packed LSB-first: bit k of the integer is event k.
 """
@@ -17,6 +18,7 @@ Bitstreams are packed LSB-first: bit k of the integer is event k.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +82,14 @@ def vector_exponent(values) -> VectorExponent:
 def threshold(word: int, exponent: int) -> float:
     """w / 2^16 scaled by 2^E, composed by exponent adjustment only; inf past the float range."""
     try:
-        return math.ldexp(word, exponent - WIDTH)
+        return math.ldexp(word, operator.index(exponent) - WIDTH)
     except OverflowError:  # above every finite |x|: the event does not fire
         return math.inf
 
 
 def encode_with_words(x: float, exponent: int, words) -> StochasticSequence:
     """Encode against caller-supplied pseudo-random words (one per event)."""
-    _check_operand(x, exponent)
+    exponent = _check_operand(x, exponent)
     if len(words) < 1:
         raise DomainError("need at least one word")
     sign = 1 if x < 0 else 0
@@ -113,8 +115,7 @@ def encode(x: float, exponent: int, rng: Lfsr, seq_len: int) -> StochasticSequen
 
 def probability_of(x: float, exponent: int) -> float:
     """Idealized event probability |x| / 2^E for an in-range operand."""
-    _check_operand(x, exponent)
-    return math.ldexp(abs(x), -exponent)
+    return math.ldexp(abs(x), -_check_operand(x, exponent))
 
 
 def encode_levels(magnitudes: np.ndarray, exponents) -> np.ndarray:
@@ -125,9 +126,12 @@ def encode_levels(magnitudes: np.ndarray, exponents) -> np.ndarray:
     return np.minimum(scaled, 0xFFFF, out=scaled).astype(np.uint16)  # truncation floors
 
 
-def _check_operand(x: float, exponent: int) -> None:
+def _check_operand(x: float, exponent: int) -> int:
+    """The exponent as an int once x is finite and |x| <= 2^E; any integral type, not a float."""
+    exponent = operator.index(exponent)
     if not math.isfinite(x):
         raise DomainError("operand must be finite")
     mantissa, power = math.frexp(abs(x))  # |x| > 2^E, decided without forming 2^E
     if x and power - (mantissa == 0.5) > exponent:
         raise DomainError(f"|x| = {abs(x)} exceeds 2^{exponent}")
+    return exponent

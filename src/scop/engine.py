@@ -30,30 +30,33 @@ encodes to level 0, so each of its counts is 0, which packs +0):
   offset in the table, so the gather index costs one int64 pass.
 
 Count and pack run one tile of about _TILE entries at a time: a block of
-whole jobs, or a block of one job's delta rows. Their per-entry temporaries
+whole jobs, or of one job's delta row classes. Their per-entry temporaries
 (the AND word, its popcount, the uint16 and the int64 gather index, up to
 19 bytes an entry) then stay in cache rather than stream through memory at
 the size of the whole update. A tile writes straight into its slice of the
-output (a prefix tile, below, into its rows). Below 2^15 entries the
-per-tile calls cost up to 20%; at 2^16 a mid-size job after a large one
-(whose frees shrink the heap) page-faults its temporaries back in: 176
+output (a class tile, below, into its compact buffer). Below 2^15 entries
+the per-tile calls cost up to 20%; at 2^16 a mid-size job after a large
+one (whose frees shrink the heap) page-faults its temporaries back in: 176
 faults against 64 for 256 x 256 at seq_len 16, enough to lift the median
 op of a mixed run of jobs 10%.
 
-A job tiled by its delta rows whose streams span more than one 64-bit word
-ANDs one word per tile. A count is a sum over events, so the job may take
-its events in any order without moving an output bit; it takes them in
-ascending order of its delta words. Every delta element is compared with the
-same words, so in that order delta row j's stream is a prefix: r_j ones, one
-for each word at or below its level, then zeros. The rows are sorted by r_j
-and tiled so that a tile's prefixes all end in one stream word w. A tile
-starts each entry's table index at the XOR sign's offset plus its x
-column's popcount over the words before w (one (W, 2, n_x) uint16 table per
-job), ANDs and popcounts word w alone with a prefix mask, and writes its
-rows back in their original order. A 1024 x 1024 job at seq_len 2048 makes
-about 50 word passes instead of 1,024. Whole-job tiles, which every training
-step and every empirical_stats block use, and jobs whose streams fit one
-word count every word as above.
+Every job tiled by its delta rows counts each distinct delta row once. A
+count is a sum over events, so the job may take its events in any order
+without moving an output bit; it takes them in ascending order of its delta
+words, its x streams padded to whole 64-event words. Every delta element is
+compared with the same words, so in that order delta row j's stream is a
+prefix: r_j ones, one for each word at or below its level, then zeros. Two
+rows of one r_j and one sign therefore have equal counts and signs, and so
+equal entries: a job has at most 2 * (seq_len + 1) distinct rows (a
+1024 x 1024 job of uniform operands has 34 at seq_len 16, 335 at 256 and
+825 at 2048). The job counts and packs each (r_j, sign) class's first row
+into a compact buffer, classes in ascending r_j, tiled so that a tile's
+prefixes all end in one stream word w. A tile starts each entry's table
+index at the XOR sign's offset plus its x column's popcount over the words
+before w (one (W, 2, n_x) uint16 table per job), and ANDs and popcounts
+word w alone with a prefix mask. One gather then writes every delta row
+from its class's row. Whole-job tiles, which every training step and every
+empirical_stats block use, count every row and every word as above.
 
 apply_update folds the matrix into weights with momentum, every arithmetic
 step rounded to binary16.
@@ -155,15 +158,16 @@ class UpdateMatrix:
 _WORD_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
-def _stream_words(bits: np.ndarray) -> np.ndarray:
+def _stream_words(bits: np.ndarray, word=None) -> np.ndarray:
     """(B, n, M) bool streams -> (W, B, n) machine words, word axis first.
 
-    Rows are zero-padded to whole words and packed as one flat run; packing
+    The word is the given dtype, else the narrowest that holds a row. Rows
+    are zero-padded to whole words and packed as one flat run; packing
     along a short last axis was 14x (32 x 16 x 16) to 58x (1000 x 64 x 16)
     slower.
     """
     seq_len = bits.shape[-1]
-    word = _WORD_DTYPES.get(-(-seq_len // 8), np.uint64)
+    word = word or _WORD_DTYPES.get(-(-seq_len // 8), np.uint64)
     word_bits = 8 * np.dtype(word).itemsize
     width = -(-seq_len // word_bits) * word_bits
     if width != seq_len:
@@ -234,31 +238,31 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
         rows = slice(first, first + len(level_x))
         first = rows.stop
         n_d, n_x = entries.shape[1:]
-        tile_jobs = max(1, _TILE // (n_d * n_x))  # a tile is a block of whole jobs,
-        tile_rows = min(n_d, max(1, _TILE // n_x))  # or of one job's delta rows
-        if n_d * n_x > _TILE and seq_len > 64:  # row tiles of streams wider than a word
+        if n_d * n_x > _TILE:  # a tile is a block of one job's delta row classes
             _count_pack_prefixes(words[:, rows], level_x, level_d, flip_x, flip_d, tables[rows],
-                                 tile_rows, entries)
+                                 max(1, _TILE // n_x), entries)
             continue
+        tile_jobs = _TILE // (n_d * n_x)  # or a block of whole jobs
         at = np.arange(2 * rows.start, 2 * rows.stop, 2)[:, None, None] * (seq_len + 1)
         words_d = _stream_words(level_d[:, :, None] >= words[1, rows, None, :])
         words_x = _stream_words(level_x[:, :, None] >= words[0, rows, None, :])
-        for lo, top in itertools.product(range(0, len(at), tile_jobs), range(0, n_d, tile_rows)):
-            j, t = slice(lo, lo + tile_jobs), slice(top, top + tile_rows)
+        for lo in range(0, len(at), tile_jobs):
+            j = slice(lo, lo + tile_jobs)
             # XOR of two offsets that are each 0 or seq_len + 1 is the XOR sign's offset
-            index = np.bitwise_xor(flip_d[j, t][:, :, None], flip_x[j][:, None, :])
-            _count_pack(words_d[:, j, t], words_x[:, j], index, table, at[j], out=entries[j, t])
+            index = np.bitwise_xor(flip_d[j][:, :, None], flip_x[j][:, None, :])
+            _count_pack(words_d[:, j], words_x[:, j], index, table, at[j], out=entries[j])
     return out, draws, exponents
 
 
 def _count_pack_prefixes(words, level_x, level_d, flip_x, flip_d, tables, tile_rows, out):
-    """Count and pack one group's jobs, tiles of delta rows, with events in delta word order.
+    """Count and pack one group's jobs by (prefix length, sign) class, events in delta word order.
 
     words is (2, B, seq_len), the jobs' x and delta words, tables their pack
     tables and out their (B, n_d, n_x) entries; see the module docstring.
     """
     order = np.argsort(words[1], axis=1)
-    words_x = _stream_words(level_x[:, :, None] >= np.take_along_axis(words[0], order, 1)[:, None])
+    sorted_x = np.take_along_axis(words[0], order, 1)[:, None]
+    words_x = _stream_words(level_x[:, :, None] >= sorted_x, np.uint64)  # whole 64-event words
     # starts[w, b, s, i]: job b's table index for x_i against a delta of sign s, before
     # counting word w: the XOR sign's offset plus x_i's events in the words before w
     counts = np.zeros(words_x.shape, dtype=np.uint16)
@@ -267,20 +271,24 @@ def _count_pack_prefixes(words, level_x, level_d, flip_x, flip_d, tables, tile_r
     starts = counts[:, :, None] + np.stack((flip_x, flip_x ^ negative), axis=1)
     for b, sorted_d in enumerate(np.take_along_axis(words[1], order, 1)):
         ends = np.searchsorted(sorted_d, level_d[b], side="right")  # r_j: the words <= level_j
-        signs = (flip_d[b] != 0).astype(np.intp)
-        by_end = np.argsort(ends)
-        # a tile is at most tile_rows sorted rows whose prefixes end in one word
+        # delta rows of one (r_j, sign) class are equal: count one row per class, r_j ascending
+        keys, inverse = np.unique(2 * ends + (flip_d[b] != 0), return_inverse=True)
+        ends, signs = keys >> 1, keys & 1
+        rows = np.empty((len(keys), out.shape[-1]), dtype=np.float16)
+        # a tile is at most tile_rows classes whose prefixes end in one word
         # (word 0 for an empty prefix): it ANDs that word alone
-        last = (np.maximum(ends[by_end], 1) - 1) // 64
+        last = (np.maximum(ends, 1) - 1) // 64
         runs = [*np.unique(last, return_index=True)[1], len(last)]
         for lo, hi in itertools.pairwise(runs):
             w = last[lo]
             for top in range(lo, hi, tile_rows):
-                tile = by_end[top : min(top + tile_rows, hi)]
-                out[b, tile] = _count_pack(
+                tile = slice(top, min(top + tile_rows, hi))
+                _count_pack(
                     _PREFIX_WORDS[ends[tile] - 64 * w][None, None], words_x[w, b][None, None],
-                    starts[w, b][signs[tile]][None], tables[b].reshape(-1),
-                )[0]
+                    starts[w, b][signs[tile]][None], tables[b].reshape(-1), out=rows[None, tile],
+                )
+        # every delta row from its class's row ("raise" would buffer out)
+        np.take(rows, inverse, axis=0, out=out[b], mode="clip")
 
 
 def _count_pack(words_d, words_x, index, table, at=None, out=None):

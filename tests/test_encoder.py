@@ -141,6 +141,30 @@ def test_an_operand_beyond_any_exponent_is_a_domain_error(x, exponent):
         probability_of(x, exponent)
 
 
+@pytest.mark.parametrize("integer", [np.int64, np.int32, int])
+def test_a_numpy_integer_exponent_works_as_an_int(integer):
+    """ceil_exponents returns numpy integers; ldexp alone takes only a Python int."""
+    assert probability_of(0.5, integer(0)) == probability_of(0.5, 0) == 0.5
+    assert threshold(0x8000, integer(2)) == threshold(0x8000, 2) == 2.0
+    assert threshold(1, integer(1100)) == math.inf
+    words = [1, 0x4000, 0x8000, 0xFFFF]
+    for x, exponent in ((0.3, -1), (-0.75, 0), (2.0**-20, -20), (0.0, 3)):
+        want = encode_with_words(x, exponent, words)
+        assert encode_with_words(x, integer(exponent), words) == want
+        assert probability_of(x, integer(exponent)) == probability_of(x, exponent)
+    with pytest.raises(DomainError, match="exceeds 2\\^-2"):
+        encode_with_words(0.5, integer(-2), words)
+
+
+@pytest.mark.parametrize("exponent", [1.0, np.float64(0), 0.5])
+def test_a_float_exponent_is_rejected(exponent):
+    for call in (lambda: probability_of(0.5, exponent), lambda: threshold(0x8000, exponent),
+                 lambda: encode_with_words(0.5, exponent, [1]),
+                 lambda: encode_with_words(0.0, exponent, [1])):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_a_threshold_beyond_the_float_range_is_inf():
     assert threshold(0xFFFF, 1024) == math.ldexp(0xFFFF, 1008)  # still finite
     assert threshold(1, 1100) == math.inf  # above every finite |x|

@@ -779,6 +779,91 @@ def test_prefix_tiles_match_whole_job_tiles_and_the_scalar_route(
             assert got[k, j, i].view(np.uint16) == cell, (k, j, i)
 
 
+def _delta_with_classes(rng, power, seq_len, seed_d, extra):
+    """A delta of peak 2^power whose rows share (prefix length, sign) classes every way.
+
+    Rows: the peak, +0 and -0, two distinct values of one prefix length in
+    both signs, one of them repeated, then extra random values, some repeated.
+    """
+    words = np.sort(Lfsr(seed_d).next_words(seq_len))
+    values = np.arange(1, 0x7C00, dtype=np.uint16).view(np.float16).astype(np.float64)
+    values = values[values <= 2.0**power]
+    ends = np.searchsorted(words, encode_levels(values, power), side="right")
+    _, firsts, sizes = np.unique(ends, return_index=True, return_counts=True)
+    first = rng.choice(firsts[sizes > 1])  # values rise, so one end's values are adjacent
+    a, b = values[first], values[first + 1]
+    randoms = rng.uniform(-1, 1, extra) * 2.0**power
+    rows = [2.0**power, 0.0, -0.0, a, -b, a, b, -a, *randoms, *randoms[: extra // 2]]
+    return np.array(rows, dtype=np.float16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seq_len=st.sampled_from((1, 2, 16, 63, 64, 65, MAX_SEQ_LEN)),
+    jobs=st.integers(1, 2),
+    n_x=st.integers(1, 9),
+    extra=st.integers(0, 10),
+    powers=st.tuples(st.integers(-12, 15), st.integers(-12, 15)),
+    lr=st.sampled_from((None, 0.05)),
+    counter=st.integers(0, 2**20),
+    dead=st.sampled_from(("none", "zero x", "zero delta")),
+)
+@example(  # lr folded to a saturating scale, a dead job beside a live one
+    seq_len=16, jobs=2, n_x=5, extra=4, powers=(15, 15), lr=0.05, counter=1, dead="zero x",
+)
+@example(  # one event per stream: every row's prefix is empty or whole
+    seq_len=1, jobs=2, n_x=3, extra=6, powers=(-6, -6), lr=0.05, counter=2, dead="zero delta",
+)
+def test_class_rows_match_whole_job_tiles_and_the_scalar_route(
+    seq_len, jobs, n_x, extra, powers, lr, counter, dead,
+):
+    """Row tiles, forced by a small _TILE, count one row per class at any seq_len."""
+    rng = np.random.default_rng(counter)
+    sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, counter + np.arange(jobs))
+    xs = (rng.uniform(-1, 1, (jobs, n_x)) * 2.0 ** powers[0]).astype(np.float16)
+    deltas = [_delta_with_classes(rng, powers[1], seq_len, int(s), extra) for s in sd]
+    n_d = max(map(len, deltas))
+    ds = np.stack([np.pad(d, (0, n_d - len(d)), constant_values=-(2.0 ** powers[1]) / 3)
+                   for d in deltas])
+    if dead == "zero x":
+        xs[0] = 0
+    elif dead == "zero delta":
+        ds[-1] = 0
+    want, draws = outer_product_many(xs, ds, seq_len, sx, sd, lr)
+    classed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_TILE", 7)
+        prefixes = engine._count_pack_prefixes
+        mp.setattr(engine, "_count_pack_prefixes",
+                   lambda *a: classed.append(1) or prefixes(*a))
+        got, got_draws = outer_product_many(xs, ds, seq_len, sx, sd, lr)
+    assert bool(classed) == bool(draws) and got_draws == draws  # a call of dead jobs returns zeros
+    assert np.array_equal(got.view(np.uint16), want.view(np.uint16))
+    for k in range(jobs):
+        for j, i in itertools.product(range(8), (np.abs(xs[k]).argmax(), n_x - 1)):
+            cell = _scalar_cell(xs[k], ds[k], i, j, seq_len, int(sx[k]), int(sd[k]), lr)
+            assert got[k, j, i].view(np.uint16) == cell, (k, j, i)
+
+
+def test_a_large_short_stream_job_counts_one_row_per_class(monkeypatch):
+    """1024 x 1024 at seq_len 16: at most 2 * 17 (prefix length, sign) classes, not 1,024 rows."""
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-1, 1, 1024).astype(np.float16)
+    d = rng.uniform(-1, 1, 1024).astype(np.float16)
+    job = OuterProductJob(x, d, 16, 0xACE1, 0x2C9F, 0.05)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_TILE", 1 << 21)  # one whole-job tile counts every row
+        want = outer_product(job).entries
+    rows = []  # the delta rows of each count-and-pack tile
+    count_pack = engine._count_pack
+    monkeypatch.setattr(engine, "_count_pack",
+                        lambda words_d, *a, **k: rows.append(words_d.shape[-1]) or count_pack(
+                            words_d, *a, **k))
+    got = outer_product(job).entries
+    assert 0 < sum(rows) <= 34
+    assert np.array_equal(got.view(np.uint16), want.view(np.uint16))
+
+
 def _large_job():
     """One 1024 x 1024 job at seq_len 2048, the largest shape outer_grid runs."""
     rng = np.random.default_rng(21)

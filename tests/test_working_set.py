@@ -42,6 +42,15 @@ def test_a_large_job_at_the_longest_stream_holds_little_beyond_its_output():
     assert _traced_peak(lambda: outer_product(job)) < 6
 
 
+def test_a_large_job_at_a_short_stream_holds_little_beyond_its_output():
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1, 1, 1024).astype(np.float16)
+    d = rng.uniform(-1, 1, 1024).astype(np.float16)
+    job = OuterProductJob(x, d, 16, 0xACE1, 0x2C9F)
+    # the 2 MiB output; a row per delta element before the gather would be 2 MiB more
+    assert _traced_peak(lambda: outer_product(job)) < 4
+
+
 def test_a_batch_with_a_dead_job_holds_little_beyond_its_output():
     rng = np.random.default_rng(2)
     xs = rng.uniform(-1, 1, (2, 1024)).astype(np.float16)
