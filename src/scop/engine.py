@@ -22,7 +22,10 @@ encodes to level 0, so each of its counts is 0, which packs +0):
 * count: each row of stream bits is packed into machine words (np.packbits;
   one uint8/16/32/64 word when the row fills 1, 2, 4 or 8 bytes, else
   zero-padded to whole uint64 words). Entry (j, i) counts popcount(d_j & x_i)
-  summed over the words.
+  summed over the words. numpy vectorizes the popcount of bytes but not of
+  16-bit words (about 12x slower per word), so a 16-bit word (rows of 9 to
+  16 events) is counted through its two bytes and their counts added in
+  uint16; wider words count as they are, which was faster than their bytes.
 * pack: each job's scale exponent fixes a (2, seq_len + 1) binary16 table,
   the packed output for every sign and every count 0..seq_len; an entry is
   the table value at its XOR sign and its count. Count 0 packs +0 for
@@ -301,10 +304,17 @@ def _count_pack(words_d, words_x, index, table, at=None, out=None):
     if given, is (B, 1, 1), each job's first entry in table.
     """
     both = np.empty(index.shape, dtype=words_d.dtype)
-    ones = np.empty(index.shape, dtype=np.uint8)
+    bytewise = both.itemsize == 2  # a 16-bit word is counted through its two bytes
+    ones = np.empty(index.shape, dtype=np.uint16 if bytewise else np.uint8)
     for wd, wx in zip(words_d, words_x):  # count: AND + popcount per stream word
         np.bitwise_and(wd[:, :, None], wx[:, None, :], out=both)
-        index += np.bitwise_count(both, out=ones)
+        if bytewise:  # the bytes' counts a + 256 b; * 257 puts a + b in the high byte
+            np.bitwise_count(both.view(np.uint8), out=ones.view(np.uint8))
+            ones *= np.uint16(257)
+            ones >>= np.uint16(8)
+        else:
+            np.bitwise_count(both, out=ones)
+        index += ones
     # pack: gather each entry from its job's rows of the table
     if at is not None:
         index = np.add(index, at)

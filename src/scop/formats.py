@@ -24,6 +24,8 @@ from .errors import DomainError
 MAGIC_VECTOR = b"ESOV"
 MAGIC_MATRIX = b"ESOM"
 VERSION = 1
+# binary16 rounds a magnitude from here up to inf: halfway from 65504, its max finite, to 2^16
+_ROUNDS_TO_INF = 65520.0
 
 
 # rank -> (magic, noun, adjective) of the container holding arrays of that rank
@@ -124,6 +126,9 @@ def _read_csv_matrix(path: str) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             raise DomainError(f"{path}:{lineno}: ragged row")
+        beyond = [v for v in row if math.isfinite(v) and abs(v) >= _ROUNDS_TO_INF]
+        if beyond:  # else numpy's cast would warn, and the inf be refused far from here
+            raise DomainError(f"{path}:{lineno}: {beyond[0]!r} is beyond binary16's range")
         rows.append(row)
     if not rows:
         raise DomainError(f"{path}: no values")

@@ -35,6 +35,7 @@ from .unit_cell import f_scale, scale_exponents
 
 # update entries per empirical_stats block: its float64 sums stay in cache
 _BLOCK = 1 << 18
+_MAX_TRIALS = 1 << 31  # empirical_stats' sums are exact below this many trials
 
 
 def exact_outer(x, delta) -> np.ndarray:
@@ -91,11 +92,15 @@ def empirical_stats(
     """Sample moments of the engine's update entries over `trials` seed pairs.
 
     Seed pairs come from derive_seed_pairs over counters 0..trials-1, so the
-    schedule is deterministic and collision-free within a trial.
+    schedule is deterministic and collision-free within a trial. trials is
+    an integer from 2 to 2^31 - 1, the bound of the exactness argument below.
 
-    Trials run and are summed in blocks of about _BLOCK entries, so the
-    float64 copies stay in cache. The block size cannot change a bit of the
-    result: every trial shares x, delta and lr, so every entry packs at one
+    Trials run and are summed in blocks of about _BLOCK entries, each block
+    deriving its own seed pairs (counters lo..hi-1). A block's entries are
+    copied into one float64 buffer, allocated once per call, then summed,
+    squared in place and summed again, so no block allocates a float64
+    array of its own. The block size cannot change a bit of the result:
+    every trial shares x, delta and lr, so every entry packs at one
     scale 2^e, and each is k * q for q = 2^min(max(e, -24), 5) and an integer
     |k| <= 2048 (a subnormal rounds onto the 2^-24 grid, a saturated entry
     latches at 65504 = 2047 * 2^5). A partial sum of entries is then q, and
@@ -103,26 +108,28 @@ def empirical_stats(
     2^31 trials. float64 holds each such sum exactly, so every order of
     adding gives the same bits.
     """
-    if not is_int(trials, 2):
-        raise DomainError(f"trials must be an integer of at least 2, got {trials}")
+    if not (is_int(trials, 2) and trials < _MAX_TRIALS):
+        raise DomainError(f"trials must be an integer from 2 to 2^31 - 1, got {trials}")
     x = np.asarray(x, dtype=np.float16)
     delta = np.asarray(delta, dtype=np.float16)
     if x.ndim != 1 or delta.ndim != 1:
         raise ContractError("x and delta must be 1-D vectors")
-    sx, sd = derive_seed_pairs(base_seed_x, base_seed_delta, np.arange(trials))
 
     shape = (delta.size, x.size)
     total = np.zeros(shape, dtype=np.float64)
     total_sq = np.zeros(shape, dtype=np.float64)
-    block = max(1, _BLOCK // max(1, delta.size * x.size))  # trials per block
+    block = min(trials, max(1, _BLOCK // max(1, delta.size * x.size)))  # trials per block
+    buffer = np.empty((block, *shape), dtype=np.float64)
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
+        seeds = derive_seed_pairs(base_seed_x, base_seed_delta, np.arange(lo, hi))
         xs = np.broadcast_to(x, (hi - lo, x.size))
         ds = np.broadcast_to(delta, (hi - lo, delta.size))
-        entries, _ = outer_product_many(xs, ds, seq_len, sx[lo:hi], sd[lo:hi], lr)
-        e64 = entries.astype(np.float64)
+        entries, _ = outer_product_many(xs, ds, seq_len, *seeds, lr)
+        e64 = buffer[: hi - lo]
+        np.copyto(e64, entries)
         total += e64.sum(axis=0)
-        total_sq += (e64 * e64).sum(axis=0)
+        total_sq += np.multiply(e64, e64, out=e64).sum(axis=0)
 
     mean = total / trials
     variance = (total_sq - trials * mean * mean) / (trials - 1)

@@ -382,3 +382,27 @@ def test_train_non_utf8_config_exit_2(tmp_path):
     assert r.returncode == 2
     assert str(cfg) in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_outer_csv_value_beyond_binary16_exit_2(vectors, tmp_path):
+    _, dp = vectors
+    xp = tmp_path / "x.csv"
+    xp.write_text("0.5\n70000\n")
+    r = run_cli(
+        "outer", "--x", str(xp), "--delta", dp, "--seq-len", "16",
+        "--seed-x", "ACE1", "--seed-delta", "1234", "--out", str(tmp_path / "u.bin"),
+    )
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [f"error: {xp}:2: 70000.0 is beyond binary16's range"]
+
+
+def test_stats_trials_beyond_2_to_the_31_exit_2(vectors, tmp_path):
+    xp, dp = vectors
+    r = run_cli(
+        "stats", "--x", xp, "--delta", dp, "--seq-len", "16",
+        "--trials", "99999999999999999999",
+        "--report", str(tmp_path / "report.json"),
+    )
+    assert r.returncode == 2
+    (line,) = r.stderr.splitlines()  # one line, no traceback
+    assert line.startswith("error: trials must be an integer")

@@ -990,3 +990,14 @@ def test_a_core_call_makes_each_per_call_pass_once(monkeypatch, dead):
     engine.outer_product_groups(groups, 16, seeds)
     assert sorted(calls) == ["_pack_table", "ceil_exponents", "encode_levels", "word_matrix"]
     assert not hasattr(engine, "encode_matrix")  # no second encode path
+
+
+def test_a_16_bit_word_counts_its_popcount_for_every_word():
+    """Rows of 9 to 16 events count through their two bytes: all 65,536 words match."""
+    words = np.arange(1 << 16, dtype=np.uint16)
+    start = np.uint16(17)  # the negative row's offset in a seq_len 16 pack table
+    index = np.full((1, 1, words.size), start, dtype=np.uint16)
+    table = np.arange(34, dtype=np.float16)  # reads each entry back as its table index
+    ones = np.array([[[0xFFFF]]], dtype=np.uint16)
+    entries = engine._count_pack(ones, words[None, None], index, table)
+    assert np.array_equal(entries[0, 0], np.bitwise_count(words) + start)

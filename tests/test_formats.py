@@ -1,5 +1,7 @@
 """File format tests: bit-exact round trips and hostile inputs."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -164,3 +166,25 @@ def test_two_column_csv_is_not_a_vector(tmp_path):
     with pytest.raises(DomainError, match="expected one value per line"):
         read_vector(path)
     assert read_matrix(path).shape == (2, 2)
+
+
+@pytest.mark.parametrize("text, value", [("70000", 70000.0), ("-65520", -65520.0),
+                                         ("1e300", 1e300)])
+def test_csv_value_beyond_binary16_names_its_line(tmp_path, text, value):
+    path = str(tmp_path / "v.csv")
+    open(path, "w").write(f"1.0\n{text}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning once came first
+        with pytest.raises(DomainError) as err:
+            read_vector(path)
+    assert str(err.value) == f"{path}:2: {value!r} is beyond binary16's range"
+
+
+def test_csv_edge_of_binary16_and_literal_non_finite_values_read(tmp_path):
+    path = str(tmp_path / "v.csv")
+    open(path, "w").write("65519\n-65504\ninf\n-inf\nnan\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_vector(path)
+    assert back[:4].tolist() == [65504.0, -65504.0, np.inf, -np.inf]
+    assert np.isnan(back[4])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scop import oracle
 from scop.engine import derive_seed_pairs, outer_product_many
 from scop.errors import ContractError, DomainError
 from scop.fp16 import MAX_FINITE
@@ -190,3 +191,33 @@ def test_enumerate_m1_word4_matches_direct_probability(x, d):
     sign = -1 if (x < 0) != (d < 0) else 1
     assert mean == sign * p  # f_scale(0,0,1) = 1
     assert var == p - p * p
+
+
+class _WorkBegan(Exception):
+    pass
+
+
+def test_empirical_stats_bounds_trials_below_2_to_the_31(monkeypatch):
+    """Past 2^31 trials the sums may round: the count is refused before any seed is derived."""
+    def derive(*args):
+        raise _WorkBegan
+
+    monkeypatch.setattr(oracle, "derive_seed_pairs", derive)
+    for trials in (2**31, np.int64(2**40), 99999999999999999999):
+        with pytest.raises(DomainError, match="integer"):
+            empirical_stats([0.5], [0.5], 16, trials)
+    with pytest.raises(_WorkBegan):  # the largest count, accepted
+        empirical_stats([0.5], [0.5], 16, 2**31 - 1)
+
+
+def test_empirical_stats_derives_each_blocks_seeds_in_its_block(monkeypatch):
+    """4,100 trials of 16 x 16 run in blocks of 1,024: each derives counters lo..hi-1."""
+    spans = []
+
+    def derive(base_x, base_delta, counters):
+        spans.append((int(counters[0]), len(counters)))
+        return derive_seed_pairs(base_x, base_delta, counters)
+
+    monkeypatch.setattr(oracle, "derive_seed_pairs", derive)
+    empirical_stats(np.full(16, 0.5), np.full(16, 0.25), 16, 4100)
+    assert spans == [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024), (4096, 4)]
