@@ -396,7 +396,7 @@ def apply_update(
 
     v = np.float16(momentum) * v + dw
     step = v if lr_folded else np.float16(lr) * v
-    return (w - step).astype(np.float16), v.astype(np.float16)
+    return w - step, v
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -26,28 +26,21 @@ _TAP_SHIFTS = tuple(WIDTH - t for t in TAPS)
 
 
 @functools.cache
-def _table() -> np.ndarray:
-    """register -> register after 16 single-bit steps, for all 2^16 states."""
+def _ring() -> tuple[np.ndarray, np.ndarray]:
+    """(ring, pos): the generator's one table, the word map's single cycle.
+
+    The word map steps a register 16 bits on; 16 is prime to the period, so
+    it is one cycle through all PERIOD nonzero states: ring[i + 1] is the
+    word after ring[i], and pos[state] is state's index on the ring. Built
+    by doubling: ring[L:2L] is the L-word jump of ring[:L].
+    """
     states = np.arange(1 << WIDTH, dtype=np.uint32)
     fb = np.zeros_like(states)
     for s in _TAP_SHIFTS:
         fb ^= states >> s
-    table = ((states >> 1) | ((fb & 1) << 15)).astype(np.uint16)
-    for _ in range(4):  # compose the 1-step map up to 16 steps by squaring
-        table = table[table]
-    return table
-
-
-@functools.cache
-def _ring() -> tuple[np.ndarray, np.ndarray]:
-    """(ring, pos): the word map's cycle through all PERIOD nonzero states.
-
-    16 is prime to the period, so the 16-step map is one cycle too:
-    ring[i + 1] is the word after ring[i], and pos[state] is the index of
-    state on the ring. Built by doubling: ring[L:2L] is the L-word jump of
-    ring[:L].
-    """
-    jump = _table()
+    jump = ((states >> 1) | ((fb & 1) << 15)).astype(np.uint16)
+    for _ in range(4):  # compose the 1-step map up to the 16-step word map by squaring
+        jump = jump[jump]
     ring = np.ones(1 << WIDTH, dtype=np.uint16)  # from state 1; the rest is overwritten
     size = 1
     while size < PERIOD:
@@ -94,7 +87,8 @@ class Lfsr:
         self.draws = 0
 
     def next_word(self) -> int:
-        self.register = int(_table()[self.register])
+        ring, pos = _ring()
+        self.register = int(ring[(int(pos[self.register]) + 1) % PERIOD])
         self.draws += 1
         return self.register
 

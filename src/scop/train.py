@@ -184,7 +184,9 @@ def evaluate(model: Mlp, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return acc, loss
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(config: TrainingConfig) -> RunMetrics:
+    """Fit config's network; a non-finite step loss, layer operand or test loss ends it diverged."""
     kind, seq_len = parse_mode(config.mode)
     data = _load_dataset(config)
     if data.n_features != config.topology[0]:
@@ -272,9 +274,11 @@ def train(config: TrainingConfig) -> RunMetrics:
                 )
             if metrics.diverged:
                 break
+        if not metrics.diverged:
+            test_acc, test_loss = evaluate(model, data.x_test, data.y_test)
+            metrics.diverged = not math.isfinite(test_loss)
         if metrics.diverged:
             break
-        test_acc, _ = evaluate(model, data.x_test, data.y_test)
         metrics.epochs.append(
             EpochMetrics(
                 epoch=epoch,

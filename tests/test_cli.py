@@ -280,6 +280,17 @@ def test_train_smoke_and_outputs(tmp_path):
     assert [e["epoch"] for e in jsonl] == [0, 1]
 
 
+@pytest.mark.parametrize("mode", ["exact", "stochastic(16)"])
+def test_train_diverging_fit_prints_only_its_result(tmp_path, mode):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"lr = 60000\nn_samples = 200\nepochs = 5\nmode = {mode}\n")
+    r = run_cli("train", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert r.returncode == 0
+    (line,) = r.stdout.splitlines()
+    assert f"mode={mode}" in line and "diverged=1" in line
+    assert r.stderr == ""
+
+
 BAD_SEED_RUNS = {
     "lfsr": ["lfsr", "--seed", "10000", "--count", "1"],
     "encode": ["encode", "--value", "0.5", "--seq-len", "8", "--seed", "0"],

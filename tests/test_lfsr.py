@@ -92,6 +92,19 @@ def test_next_words_equals_repeated_next_word():
     assert a.register == b.register
 
 
+def test_next_word_walks_the_full_period_of_word_matrix():
+    rng = Lfsr(0xACE1)
+    words = [rng.next_word() for _ in range(PERIOD)]
+    assert words == word_matrix([0xACE1], PERIOD)[0].tolist()
+    assert rng.next_word() == GOLDEN_WORDS[0]  # the period wraps
+
+
+def test_repr_shows_register_and_draws():
+    rng = Lfsr(0xACE1)
+    rng.next_words(3)
+    assert repr(rng) == "Lfsr(register=0xb2b0, draws=3)"
+
+
 def test_uniform_fraction():
     assert uniform_fraction(0) == 0.0
     assert uniform_fraction(0x8000) == 0.5

@@ -238,7 +238,8 @@ def test_non_finite_layer_error_ends_fit_diverged(monkeypatch, mode):
     model = _OverflowingBackward((2, 8, 2), seed_init=6)
     acts, zs = model.forward(np.array([[0.5, 0.5]], dtype=np.float16))
     assert np.isfinite(acts[-1]).all()
-    deltas = model.backward(zs, np.array([[1.0, -1.0]], dtype=np.float16))
+    with np.errstate(over="ignore"):
+        deltas = model.backward(zs, np.array([[1.0, -1.0]], dtype=np.float16))
     assert not np.isfinite(deltas[0]).all()
 
     monkeypatch.setattr(train_module, "Mlp", _OverflowingBackward)
@@ -284,6 +285,26 @@ def test_diverging_step_updates_the_layers_before_the_first_non_finite_one(
     for k, (old, new) in enumerate(zip(before[-1], after)):
         changed = not np.array_equal(old.view(np.uint16), new.view(np.uint16))
         assert changed == (k % n in updated), k
+
+
+def test_an_update_that_leaves_inf_at_an_epochs_end_ends_the_fit_diverged(monkeypatch):
+    """The epoch's closing evaluation is NaN; it must not be logged as an accuracy."""
+    config = _tiny("exact", epochs=2)
+    n_train = train_module._load_dataset(config).x_train.shape[0]
+    last = 2 * 2 * config.epochs * -(-n_train // config.batch_size)  # w and b of 2 layers a step
+    apply, calls = train_module.apply_update, []
+
+    def update(weights, *args):
+        new, velocity = apply(weights, *args)
+        calls.append(1)
+        return (np.full_like(new, np.inf) if len(calls) == last else new), velocity
+
+    monkeypatch.setattr(train_module, "apply_update", update)
+    metrics = train(config)
+    assert len(calls) == last
+    assert metrics.diverged
+    assert [e.epoch for e in metrics.epochs] == [0]
+    assert metrics.final_test_acc == metrics.epochs[0].test_acc
 
 
 def test_a_one_to_one_layers_batch_is_summed_one_binary16_add_at_a_time(monkeypatch):
