@@ -1,8 +1,8 @@
 """Bit-exact model of a stochastic-computing outer-product datapath."""
 
 from .errors import ContractError, DomainError, SeedError
-from .fp16 import PowerOfTwoScale, decode_bits, floor_pow2
-from .lfsr import Lfsr, uniform_fraction
+from .fp16 import PowerOfTwoScale, decode_bits
+from .lfsr import Lfsr
 from .encoder import StochasticSequence, encode, probability_of, vector_exponent
 from .unit_cell import f_scale, f_scale_with_lr, shift_pack, unit_cell_multiply
 from .engine import (
@@ -10,7 +10,6 @@ from .engine import (
     UpdateMatrix,
     apply_update,
     conv_weight_update,
-    derive_seed,
     derive_seed_pair,
     outer_product,
 )
@@ -25,10 +24,8 @@ __all__ = [
     "PowerOfTwoScale",
     "decode_bits",
     "encode_value",
-    "floor_pow2",
     "quantize",
     "Lfsr",
-    "uniform_fraction",
     "StochasticSequence",
     "encode",
     "probability_of",
@@ -41,7 +38,6 @@ __all__ = [
     "UpdateMatrix",
     "apply_update",
     "conv_weight_update",
-    "derive_seed",
     "derive_seed_pair",
     "outer_product",
     "analytic_moments",

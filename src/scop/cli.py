@@ -114,7 +114,7 @@ def cmd_lfsr(args) -> int:
 def cmd_encode(args) -> int:
     exponent = args.exponent
     if exponent is None:
-        exponent = vector_exponent([args.value]).exponent
+        exponent = vector_exponent([args.value])
     seq = encode(args.value, exponent, Lfsr(args.seed), args.seq_len)
     width = (args.seq_len + 3) // 4
     print(f"sign={seq.sign}")
@@ -169,7 +169,7 @@ def cmd_stats(args) -> int:
         for i in range(x.size):
             a_mean, a_var = analytic_moments(
                 float(x[i]), float(delta[j]),
-                e_x.exponent, e_d.exponent, args.seq_len, args.lr,
+                e_x, e_d, args.seq_len, args.lr,
             )
             mean = float(stats.mean[j, i])
             hw = float(stats.confidence_halfwidth[j, i])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, is_int
-from .fp16 import exponent_ceil
+from .fp16 import ceil_exponents
 from .lfsr import WIDTH, Lfsr
 
 # longest stream the unit cell's counter takes; every entry point checks it
@@ -50,7 +50,7 @@ class StochasticSequence:
             raise DomainError(f"seq_len must be an integer of at least 1, got {self.seq_len!r}")
         if not (is_int(self.sign, 0) and self.sign <= 1):
             raise DomainError(f"sign must be 0 or 1, got {self.sign!r}")
-        if not (is_int(self.bits, 0) and self.bits < 1 << self.seq_len):
+        if not (is_int(self.bits, 0) and int(self.bits).bit_length() <= self.seq_len):
             raise DomainError(f"bits must be an integer no wider than seq_len, got {self.bits!r}")
 
     @property
@@ -58,25 +58,15 @@ class StochasticSequence:
         return self.bits.bit_count()
 
 
-@dataclass(frozen=True)
-class VectorExponent:
-    """Shared normalization exponent for one vector."""
-
-    exponent: int
-    is_zero_vector: bool
-
-
-def vector_exponent(values) -> VectorExponent:
-    """Smallest E with max |v| <= 2^E; zero vectors report E = 0 and a flag."""
+def vector_exponent(values) -> int:
+    """Smallest E with max |v| <= 2^E (fp16.ceil_exponents of the peak); 0 for a zero vector."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("expected a nonempty one-dimensional vector")
     if not np.all(np.isfinite(arr)):
         raise DomainError("vector entries must be finite")
-    peak = float(np.max(np.abs(arr)))
-    if peak == 0.0:
-        return VectorExponent(0, True)
-    return VectorExponent(exponent_ceil(peak), False)
+    peak = np.max(np.abs(arr))
+    return int(ceil_exponents(peak)) if peak else 0
 
 
 def threshold(word: int, exponent: int) -> float:
@@ -127,11 +117,10 @@ def encode_levels(magnitudes: np.ndarray, exponents) -> np.ndarray:
 
 
 def _check_operand(x: float, exponent: int) -> int:
-    """The exponent as an int once x is finite and |x| <= 2^E; any integral type, not a float."""
+    """The exponent (any integral type) as an int once x is finite and ceil_exponents(|x|) <= E."""
     exponent = operator.index(exponent)
     if not math.isfinite(x):
         raise DomainError("operand must be finite")
-    mantissa, power = math.frexp(abs(x))  # |x| > 2^E, decided without forming 2^E
-    if x and power - (mantissa == 0.5) > exponent:
+    if x and ceil_exponents(abs(x)) > exponent:
         raise DomainError(f"|x| = {abs(x)} exceeds 2^{exponent}")
     return exponent

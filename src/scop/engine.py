@@ -413,11 +413,6 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def derive_seed(base: int, counter: int) -> int:
-    """Deterministic per-job seed: hash (base, counter) down to a nonzero word."""
-    return derive_seed_pair(base, base, counter)[0]  # the x seed ignores base_delta
-
-
 def derive_seed_pair(base_x: int, base_delta: int, counter: int) -> tuple[int, int]:
     """Seeds for one job's two generators, forced distinct."""
     return tuple(int(s) for s in derive_seed_pairs(base_x, base_delta, [counter])[:, 0])

@@ -73,12 +73,3 @@ def floor_exponents(values) -> np.ndarray:
     """Exponents of the largest powers of two <= v, elementwise."""
     return np.frexp(_positive_finite(values))[1] - 1
 
-
-def exponent_ceil(v: float) -> int:
-    """Smallest integer e with v <= 2**e, i.e. ceil(log2(v))."""
-    return int(ceil_exponents(v))
-
-
-def floor_pow2(v: float) -> PowerOfTwoScale:
-    """Largest power of two <= v."""
-    return PowerOfTwoScale(int(floor_exponents(v)))

@@ -11,7 +11,6 @@ period of 2^16 - 1 emissions.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -102,11 +101,6 @@ class Lfsr:
 
     def __repr__(self) -> str:
         return f"Lfsr(register={self.register:#06x}, draws={self.draws})"
-
-
-def uniform_fraction(word: int) -> float:
-    """word / 2^16, an exact dyadic rational in [0, 1)."""
-    return math.ldexp(word, -WIDTH)
 
 
 def word_matrix(seeds: np.ndarray, n: int) -> np.ndarray:

@@ -94,7 +94,7 @@ def shift_pack(sign: int, count: int, scale: PowerOfTwoScale) -> UnitCellResult:
         return UnitCellResult(count, sign, (sign << 15) | (biased << 10) | frac)
 
     # subnormal: significand is count * 2^(e_scale + 24) on the 2^-24 grid
-    k = -(scale.exponent + 24)
+    k = min(-(scale.exponent + 24), 12)  # a count < 2^12 rounds to 0 at every k >= 12
     if k <= 0:
         return UnitCellResult(count, sign, (sign << 15) | (count << -k))
     m = count >> k

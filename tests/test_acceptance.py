@@ -6,6 +6,7 @@ criterion; add -s to see the measured numbers next to their bounds.
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -203,7 +204,7 @@ def test_acceptance_cli_determinism(tmp_path):
             capture_output=True,
         )
         assert r.returncode == 0, r.stderr
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1]
     print(f"PASS determinism: {len(outs[0])} bytes, identical across runs")
 

@@ -112,6 +112,26 @@ def test_mul_bits_wider_than_seq_len_exit_2():
     assert r.returncode == 2
 
 
+def test_mul_scale_far_below_the_subnormal_range():
+    r = run_cli(
+        "mul", "--a-bits", "1", "--b-bits", "1", "--seq-len", "1",
+        "--scale-exp", "-1000000000000000000",
+    )
+    assert r.returncode == 0
+    assert "underflow=1" in r.stdout.splitlines()
+    assert r.stderr == ""
+
+
+def test_mul_huge_seq_len_exit_2():
+    r = run_cli(
+        "mul", "--a-bits", "1", "--b-bits", "1",
+        "--seq-len", "99999999999999999999", "--scale-exp", "0",
+    )
+    assert r.returncode == 2
+    (line,) = r.stderr.splitlines()  # one line, no traceback
+    assert line.startswith("error: ") and "seq_len" in line
+
+
 @pytest.fixture
 def vectors(tmp_path):
     xp = str(tmp_path / "x.bin")
@@ -145,7 +165,7 @@ def test_outer_byte_identical_reruns(vectors, tmp_path):
     ]
     assert run_cli(*args, "--out", out1).returncode == 0
     assert run_cli(*args, "--out", out2).returncode == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_outer_csv_output(vectors, tmp_path):
@@ -157,7 +177,7 @@ def test_outer_csv_output(vectors, tmp_path):
         "--out", out, "--format", "csv",
     )
     assert r.returncode == 0
-    assert open(out).read() == "0.5,-0.5\n"
+    assert Path(out).read_text() == "0.5,-0.5\n"
 
 
 def test_outer_same_seeds_exit_2(vectors, tmp_path):
@@ -202,7 +222,7 @@ def test_stats_report(vectors, tmp_path):
         "--trials", "200", "--report", report,
     )
     assert r.returncode == 0
-    data = json.load(open(report))
+    data = json.loads(Path(report).read_text())
     assert data["trials"] == 200
     assert data["lr"] is None  # unfolded
     assert len(data["entries"]) == 2
@@ -228,8 +248,8 @@ def test_stats_lr_report_equals_the_library_call(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     stats = empirical_stats(x, d, 24, 50, 0x1111, 0x2C9F, lr=0.1)
-    e_x, e_d = vector_exponent(x).exponent, vector_exponent(d).exponent
-    data = json.load(open(report))
+    e_x, e_d = vector_exponent(x), vector_exponent(d)
+    data = json.loads(Path(report).read_text())
     assert data["lr"] == 0.1
     entries = data["entries"]
     assert [(e["row"], e["col"]) for e in entries] == [(j, i) for j in range(2) for i in range(3)]
@@ -270,13 +290,13 @@ def test_train_smoke_and_outputs(tmp_path):
     r = run_cli("train", "--config", str(cfg), "--out-dir", str(outdir))
     assert r.returncode == 0, r.stderr
     assert "final_test_acc=" in r.stdout
-    summary = json.load(open(outdir / "summary.json"))
+    summary = json.loads((outdir / "summary.json").read_text())
     assert summary["mode"] == "stochastic(8)"
     assert summary["epochs_run"] == 2
-    csv_lines = open(outdir / "metrics.csv").read().splitlines()
+    csv_lines = (outdir / "metrics.csv").read_text().splitlines()
     assert csv_lines[0] == "epoch,train_loss,train_acc,test_acc"
     assert len(csv_lines) == 3
-    jsonl = [json.loads(l) for l in open(outdir / "metrics.jsonl")]
+    jsonl = [json.loads(l) for l in (outdir / "metrics.jsonl").read_text().splitlines()]
     assert [e["epoch"] for e in jsonl] == [0, 1]
 
 

@@ -1,5 +1,7 @@
 """Dataset generation and ingestion tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ def test_digits_csv_roundtrip(tmp_path):
 
 def test_digits_csv_rejects_bad_width(tmp_path):
     path = str(tmp_path / "digits.csv")
-    open(path, "w").write("1,2,3\n")
+    Path(path).write_text("1,2,3\n")
     with pytest.raises(DomainError) as err:
         load_digits_csv(path)
     assert "65" in str(err.value)
@@ -93,7 +95,7 @@ def test_digits_csv_rejects_bad_label(tmp_path):
 
 def test_digits_csv_rejects_garbage(tmp_path):
     path = str(tmp_path / "digits.csv")
-    open(path, "w").write(",".join(["x"] * 64) + ",1\n")
+    Path(path).write_text(",".join(["x"] * 64) + ",1\n")
     with pytest.raises(DomainError) as err:
         load_digits_csv(path)
     assert ":1" in str(err.value)

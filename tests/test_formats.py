@@ -1,6 +1,7 @@
 """File format tests: bit-exact round trips and hostile inputs."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_vector_roundtrip_random_payloads(tmp_path_factory, payload):
 def test_binary_header_layout(tmp_path):
     path = str(tmp_path / "v.bin")
     write_vector(path, np.array([1.0], dtype=np.float16), "bin")
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw[:4] == b"ESOV"
     assert raw[4:6] == b"\x01\x00"  # version 1, little endian
     assert raw[6:10] == b"\x01\x00\x00\x00"  # count 1
@@ -61,7 +62,7 @@ def test_binary_header_layout(tmp_path):
 def test_matrix_header_layout(tmp_path):
     path = str(tmp_path / "m.bin")
     write_matrix(path, np.zeros((2, 3), dtype=np.float16), "bin")
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw[:4] == b"ESOM"
     assert raw[4:6] == b"\x01\x00"
     assert raw[6:10] == b"\x02\x00\x00\x00"
@@ -72,8 +73,8 @@ def test_matrix_header_layout(tmp_path):
 def test_truncated_binary_rejected(tmp_path):
     path = str(tmp_path / "v.bin")
     write_vector(path, AWKWARD, "bin")
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:-3])
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw[:-3])
     with pytest.raises(DomainError):
         read_vector(path)
 
@@ -91,7 +92,7 @@ def test_wrong_container_rejected(tmp_path):
 
 def test_bad_csv_rejected(tmp_path):
     path = str(tmp_path / "v.csv")
-    open(path, "w").write("1.0\nnot-a-number\n")
+    Path(path).write_text("1.0\nnot-a-number\n")
     with pytest.raises(DomainError) as err:
         read_vector(path)
     assert ":2" in str(err.value)  # error names the line
@@ -108,14 +109,14 @@ def test_non_utf8_csv_rejected(tmp_path, reader):
 
 def test_ragged_csv_matrix_rejected(tmp_path):
     path = str(tmp_path / "m.csv")
-    open(path, "w").write("1.0,2.0\n3.0\n")
+    Path(path).write_text("1.0,2.0\n3.0\n")
     with pytest.raises(DomainError):
         read_matrix(path)
 
 
 def test_empty_csv_rejected(tmp_path):
     path = str(tmp_path / "v.csv")
-    open(path, "w").write("\n")
+    Path(path).write_text("\n")
     with pytest.raises(DomainError):
         read_vector(path)
 
@@ -162,7 +163,7 @@ def test_wrong_rank_write_rejected(tmp_path, write, read, values, header, fmt):
 
 def test_two_column_csv_is_not_a_vector(tmp_path):
     path = str(tmp_path / "m.csv")
-    open(path, "w").write("1.0,2.0\n3.0,4.0\n")
+    Path(path).write_text("1.0,2.0\n3.0,4.0\n")
     with pytest.raises(DomainError, match="expected one value per line"):
         read_vector(path)
     assert read_matrix(path).shape == (2, 2)
@@ -172,7 +173,7 @@ def test_two_column_csv_is_not_a_vector(tmp_path):
                                          ("1e300", 1e300)])
 def test_csv_value_beyond_binary16_names_its_line(tmp_path, text, value):
     path = str(tmp_path / "v.csv")
-    open(path, "w").write(f"1.0\n{text}\n")
+    Path(path).write_text(f"1.0\n{text}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warning once came first
         with pytest.raises(DomainError) as err:
@@ -182,7 +183,7 @@ def test_csv_value_beyond_binary16_names_its_line(tmp_path, text, value):
 
 def test_csv_edge_of_binary16_and_literal_non_finite_values_read(tmp_path):
     path = str(tmp_path / "v.csv")
-    open(path, "w").write("65519\n-65504\ninf\n-inf\nnan\n")
+    Path(path).write_text("65519\n-65504\ninf\n-inf\nnan\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         back = read_vector(path)

@@ -19,11 +19,10 @@ from scop.fp16 import (
     MAX_FINITE_BITS,
     MIN_SUBNORMAL,
     PowerOfTwoScale,
+    ceil_exponents,
     decode_bits,
-    exponent_ceil,
-    floor_pow2,
+    floor_exponents,
 )
-from scop.fp16 import ceil_exponents, floor_exponents
 from scop.oracle import encode_value, quantize
 
 
@@ -97,40 +96,40 @@ def test_constants():
 
 
 def test_exponent_ceil():
-    assert exponent_ceil(1.0) == 0
-    assert exponent_ceil(0.5) == -1
-    assert exponent_ceil(0.50001) == 0
-    assert exponent_ceil(1.5) == 1
-    assert exponent_ceil(2.0) == 1
-    assert exponent_ceil(65504.0) == 16
+    assert ceil_exponents(1.0) == 0
+    assert ceil_exponents(0.5) == -1
+    assert ceil_exponents(0.50001) == 0
+    assert ceil_exponents(1.5) == 1
+    assert ceil_exponents(2.0) == 1
+    assert ceil_exponents(65504.0) == 16
     with pytest.raises(DomainError):
-        exponent_ceil(0.0)
+        ceil_exponents(0.0)
     with pytest.raises(DomainError):
-        exponent_ceil(-1.0)
+        ceil_exponents(-1.0)
     with pytest.raises(DomainError):
-        exponent_ceil(math.inf)
+        ceil_exponents(math.inf)
 
 
 @given(st.floats(min_value=1e-300, max_value=1e300))
 def test_exponent_ceil_is_tight(v):
-    e = exponent_ceil(v)
+    e = int(ceil_exponents(v))
     assert v <= math.ldexp(1.0, e)
     assert v > math.ldexp(1.0, e - 1)
 
 
 def test_floor_pow2():
-    assert floor_pow2(1.0) == PowerOfTwoScale(0)
-    assert floor_pow2(1.5) == PowerOfTwoScale(0)
-    assert floor_pow2(2.0) == PowerOfTwoScale(1)
-    assert floor_pow2(0.3333333333333333) == PowerOfTwoScale(-2)
-    assert floor_pow2(0.0625) == PowerOfTwoScale(-4)
+    assert floor_exponents(1.0) == 0
+    assert floor_exponents(1.5) == 0
+    assert floor_exponents(2.0) == 1
+    assert floor_exponents(0.3333333333333333) == -2
+    assert floor_exponents(0.0625) == -4
     with pytest.raises(DomainError):
-        floor_pow2(0.0)
+        floor_exponents(0.0)
 
 
 @given(st.floats(min_value=1e-300, max_value=1e300))
 def test_floor_pow2_is_tight(v):
-    s = floor_pow2(v)
+    s = PowerOfTwoScale(int(floor_exponents(v)))
     assert s.value <= v < 2 * s.value
 
 
@@ -147,8 +146,8 @@ def test_array_exponents_are_tight_elementwise(values):
     floor = floor_exponents(v)
     assert np.all(v <= np.ldexp(1.0, ceil)) and np.all(v > np.ldexp(1.0, ceil - 1))
     assert np.all(np.ldexp(1.0, floor) <= v) and np.all(v < np.ldexp(1.0, floor + 1))
-    assert [exponent_ceil(x) for x in values] == ceil.tolist()
-    assert [floor_pow2(x).exponent for x in values] == floor.tolist()
+    assert [int(ceil_exponents(x)) for x in values] == ceil.tolist()
+    assert [int(floor_exponents(x)) for x in values] == floor.tolist()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

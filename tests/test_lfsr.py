@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scop.errors import SeedError
-from scop.lfsr import PERIOD, Lfsr, uniform_fraction, word_matrix
+from scop.lfsr import PERIOD, Lfsr, word_matrix
 from scop.lfsr import _ring
 
 # frozen first words from seed 0xACE1, one register snapshot per 16 shifts
@@ -105,16 +105,9 @@ def test_repr_shows_register_and_draws():
     assert repr(rng) == "Lfsr(register=0xb2b0, draws=3)"
 
 
-def test_uniform_fraction():
-    assert uniform_fraction(0) == 0.0
-    assert uniform_fraction(0x8000) == 0.5
-    assert uniform_fraction(0xFFFF) == 65535 / 65536
-    assert uniform_fraction(GOLDEN_WORDS[0]) == 0x0877 / 65536
-
-
 def test_full_period_mean_is_balanced():
     rng = Lfsr(0xACE1)
-    total = sum(uniform_fraction(rng.next_word()) for _ in range(PERIOD))
+    total = sum(rng.next_word() / 65536 for _ in range(PERIOD))
     assert abs(total / PERIOD - 0.5) < 1e-4
 
 

@@ -6,7 +6,7 @@ import pytest
 from scop.engine import (
     OuterProductJob,
     conv_weight_update,
-    derive_seed,
+    derive_seed_pair,
     derive_seed_pairs,
     outer_product,
     outer_product_groups,
@@ -127,7 +127,7 @@ def test_a_non_integer_among_wide_counters_is_rejected():
 
 @pytest.mark.parametrize("derive", [
     lambda c: derive_seed_pairs(0xACE1, 0x2C9F, [c]),
-    lambda c: derive_seed(0xACE1, c),  # 1.5 once gave counter 1's seed
+    lambda c: derive_seed_pair(0xACE1, 0x2C9F, c),  # 1.5 once gave counter 1's seed
 ], ids=["derive_seed_pairs", "derive_seed"])
 @pytest.mark.parametrize("counter", [np.nan, np.inf, 1.5], ids=repr)
 def test_a_non_integer_counter_is_rejected(derive, counter):

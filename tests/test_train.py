@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ def test_metrics_csv_format(tmp_path):
     metrics = train(_tiny("exact", epochs=2))
     path = str(tmp_path / "m.csv")
     write_metrics_csv(metrics, path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "epoch,train_loss,train_acc,test_acc"
     assert len(lines) == 3
     first = lines[1].split(",")

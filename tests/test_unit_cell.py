@@ -113,6 +113,18 @@ def test_shift_pack_overflow_latches_max_finite():
     assert n.bits == 0xFBFF
 
 
+def test_shift_pack_far_below_the_subnormal_range_rounds_to_zero():
+    # every count is below 2^12, so each scale from 2^-36 down packs it like 2^-36
+    p = shift_pack(1, 2048, PowerOfTwoScale(-10**18))  # once built 1 << 10**18
+    assert (p.bits, p.underflow) == (0x8000, True)
+    for e in (-37, -44, -88, -224):
+        for count in range(MAX_SEQ_LEN + 1):
+            for sign in (0, 1):
+                assert shift_pack(sign, count, PowerOfTwoScale(e)) == shift_pack(
+                    sign, count, PowerOfTwoScale(-36)
+                ), (sign, count, e)
+
+
 def test_shift_pack_rejects_bad_inputs():
     with pytest.raises(DomainError):
         shift_pack(2, 1, PowerOfTwoScale(0))
