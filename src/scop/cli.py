@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -181,7 +182,7 @@ def cmd_stats(args) -> int:
                     "variance": float(stats.variance[j, i]),
                     "ci_halfwidth": hw,
                     "analytic_mean": a_mean,
-                    "analytic_variance": a_var,
+                    "analytic_variance": a_var if math.isfinite(a_var) else None,
                     "within_ci": bool(abs(mean - a_mean) <= hw),
                 }
             )

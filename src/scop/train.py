@@ -5,7 +5,8 @@ Matrix products run through float32 accumulators and round back to binary16
 at layer boundaries, so the stored tensors behave like a 16-bit datapath
 without compounding rounding inside a dot product.
 
-Weight gradients come from one of two per-batch routes, selected by mode:
+Mlp.backward returns one (input, error) pair per layer; the layer's weight
+gradient comes from one of two per-batch routes, selected by mode:
 
 * exact: float64 mean of per-sample outer products, quantized to binary16.
 * stochastic(M): one outer-product job per sample through the bitstream
@@ -120,28 +121,23 @@ class Mlp:
             self.biases.append(np.zeros(n_out, dtype=np.float16))
 
     def forward(self, x: np.ndarray):
-        """Returns (activations per layer, pre-activations per layer).
-
-        activations[0] is the input; activations[-1] is the logits.
-        """
+        """Activations per layer: [0] is the input, [-1] the logits."""
         acts = [np.asarray(x, dtype=np.float16)]
-        zs = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z32 = acts[-1].astype(np.float32) @ w.astype(np.float32).T
             z = (z32 + b.astype(np.float32)).astype(np.float16)
-            zs.append(z)
             acts.append(z if i == last else np.maximum(z, np.float16(0)))
-        return acts, zs
+        return acts
 
-    def backward(self, zs, delta_out: np.ndarray):
-        """Per-layer error signals from the output error, in binary16."""
-        deltas = [np.asarray(delta_out, dtype=np.float16)]
+    def backward(self, acts, error: np.ndarray):
+        """One (input, error) pair per layer, in binary16, from acts and the logits' error."""
+        deltas = [np.asarray(error, dtype=np.float16)]
         for i in range(len(self.weights) - 1, 0, -1):
             back32 = deltas[0].astype(np.float32) @ self.weights[i].astype(np.float32)
-            gate = zs[i - 1] > 0
+            gate = acts[i] > 0  # max(z, 0) > 0 is z > 0, NaN and -0 included
             deltas.insert(0, (back32 * gate).astype(np.float16))
-        return deltas
+        return list(zip(acts, deltas))
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -178,8 +174,7 @@ def _lr_at(config: TrainingConfig, epoch: int) -> float:
 
 def evaluate(model: Mlp, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) over a split."""
-    acts, _ = model.forward(x.astype(np.float16))
-    loss, probs, _ = softmax_cross_entropy(acts[-1], y)
+    loss, probs, _ = softmax_cross_entropy(model.forward(x)[-1], y)
     acc = float(np.mean(probs.argmax(axis=1) == y))
     return acc, loss
 
@@ -231,15 +226,14 @@ def train(config: TrainingConfig) -> RunMetrics:
             yb = y_train[idx]
             b = xb.shape[0]
 
-            acts, zs = model.forward(xb)
+            acts = model.forward(xb)
             loss, probs, grad64 = softmax_cross_entropy(acts[-1], yb)
             epoch_loss += loss * b
             epoch_hits += int(np.sum(probs.argmax(axis=1) == yb))
             if not math.isfinite(loss):
                 metrics.diverged = True
                 break
-            deltas = model.backward(zs, grad64.astype(np.float16))
-            layers = list(zip(acts, deltas))  # (input, error) per layer
+            layers = model.backward(acts, grad64.astype(np.float16))
 
             if kind == "exact":
                 grads_w = [
@@ -262,8 +256,8 @@ def train(config: TrainingConfig) -> RunMetrics:
                         layers[:n], seq_len, seeds[:, : n * b], fold) if n else []
                 grads_w = [sum_updates(e) * np.float16(1.0 / b) for e in updates]
 
-            for layer, grad_w in enumerate(grads_w):
-                grad_b = deltas[layer].astype(np.float64).mean(axis=0).astype(np.float16)
+            for layer, (grad_w, (_, d)) in enumerate(zip(grads_w, layers)):
+                grad_b = d.astype(np.float64).mean(axis=0).astype(np.float16)
                 model.weights[layer], velocities_w[layer] = apply_update(
                     model.weights[layer], grad_w, lr, folded,
                     config.momentum, velocities_w[layer],

@@ -23,6 +23,7 @@ from .fp16 import MAX_FINITE_BITS, PowerOfTwoScale, decode_bits, floor_exponents
 from .encoder import MAX_SEQ_LEN, StochasticSequence, check_seq_len
 
 
+@np.errstate(over="ignore")  # floor_exponents refuses a scale that overflowed to inf
 def scale_exponents(e_x, e_delta, seq_len: int, lr: float | None = None) -> np.ndarray:
     """Elementwise exponent of floor-pow2(lr * 2^(e_x + e_delta) / seq_len); lr None is 1.
 

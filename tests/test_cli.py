@@ -23,6 +23,14 @@ def run_cli(*args, **kwargs):
     )
 
 
+def input_error(r) -> str:
+    """Asserts exit 2 and a stderr of one `error: ...` line; returns that line."""
+    assert r.returncode == 2, r.stderr
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
 def test_lfsr_golden_words():
     r = run_cli("lfsr", "--seed", "ACE1", "--count", "4")
     assert r.returncode == 0
@@ -31,8 +39,7 @@ def test_lfsr_golden_words():
 
 def test_lfsr_zero_seed_exit_2():
     r = run_cli("lfsr", "--seed", "0", "--count", "4")
-    assert r.returncode == 2
-    assert "seed" in r.stderr
+    assert "seed" in input_error(r)
 
 
 def test_lfsr_bad_hex_exit_2():
@@ -65,7 +72,7 @@ def test_encode_out_of_range_exit_2():
         "encode", "--value", "1.5", "--seq-len", "8", "--seed", "ACE1",
         "--exponent", "0",
     )
-    assert r.returncode == 2
+    input_error(r)
 
 
 @pytest.mark.parametrize("value, exponent", [("0", "1024"), ("3", "1100")])
@@ -80,16 +87,12 @@ def test_encode_exponent_past_the_float_range(value, exponent):
 def test_encode_exponent_below_the_value_exit_2():
     r = run_cli("encode", "--value", "1e-300", "--seq-len", "4", "--seed", "1",
                 "--exponent", "-1100")
-    assert r.returncode == 2
-    assert "2^-1100" in r.stderr
-    assert "Traceback" not in r.stderr
+    assert "2^-1100" in input_error(r)
 
 
 def test_encode_seq_len_above_cell_bound_exit_2():
     r = run_cli("encode", "--value", "0.5", "--seq-len", "5000", "--seed", "ACE1")
-    assert r.returncode == 2
-    assert "seq_len" in r.stderr
-    assert "Traceback" not in r.stderr
+    assert "seq_len" in input_error(r)
 
 
 def test_mul_example():
@@ -109,7 +112,7 @@ def test_mul_bits_wider_than_seq_len_exit_2():
         "mul", "--a-bits", "fff", "--a-sign", "0", "--b-bits", "1",
         "--b-sign", "0", "--seq-len", "4", "--scale-exp", "0",
     )
-    assert r.returncode == 2
+    input_error(r)
 
 
 def test_mul_scale_far_below_the_subnormal_range():
@@ -127,9 +130,7 @@ def test_mul_huge_seq_len_exit_2():
         "mul", "--a-bits", "1", "--b-bits", "1",
         "--seq-len", "99999999999999999999", "--scale-exp", "0",
     )
-    assert r.returncode == 2
-    (line,) = r.stderr.splitlines()  # one line, no traceback
-    assert line.startswith("error: ") and "seq_len" in line
+    assert "seq_len" in input_error(r)
 
 
 @pytest.fixture
@@ -187,7 +188,7 @@ def test_outer_same_seeds_exit_2(vectors, tmp_path):
         "--seed-x", "ACE1", "--seed-delta", "ACE1",
         "--out", str(tmp_path / "u.bin"),
     )
-    assert r.returncode == 2
+    input_error(r)
 
 
 def test_outer_missing_file_exit_2(tmp_path):
@@ -197,7 +198,7 @@ def test_outer_missing_file_exit_2(tmp_path):
         "--seed-x", "ACE1", "--seed-delta", "1234",
         "--out", str(tmp_path / "u.bin"),
     )
-    assert r.returncode == 2
+    input_error(r)
 
 
 def test_outer_non_utf8_csv_exit_2(vectors, tmp_path):
@@ -209,9 +210,7 @@ def test_outer_non_utf8_csv_exit_2(vectors, tmp_path):
         "--seed-x", "ACE1", "--seed-delta", "1234",
         "--out", str(tmp_path / "u.bin"),
     )
-    assert r.returncode == 2
-    assert str(xp) in r.stderr
-    assert "Traceback" not in r.stderr
+    assert str(xp) in input_error(r)
 
 
 def test_stats_report(vectors, tmp_path):
@@ -272,9 +271,50 @@ def test_stats_bad_lr_exit_2(vectors, tmp_path, lr):
         "stats", "--x", xp, "--delta", dp, "--seq-len", "16", "--trials", "4",
         "--lr", lr, "--report", str(tmp_path / "report.json"),
     )
-    assert r.returncode == 2
-    assert "lr" in r.stderr
-    assert "Traceback" not in r.stderr
+    assert "lr" in input_error(r)
+
+
+@pytest.fixture
+def wide_vectors(tmp_path):
+    """x = (3.5, -1.25) and delta = (2, 0.5): E_X + E_D = 3, so the scale is lr * 2^3 / M."""
+    xp, dp = tmp_path / "x.csv", tmp_path / "d.csv"
+    xp.write_text("3.5\n-1.25\n")
+    dp.write_text("2\n0.5\n")
+    return str(xp), str(dp)
+
+
+@pytest.mark.parametrize("command, tail", [
+    ("outer", ["--out", "{out}"]),
+    ("stats", ["--trials", "4", "--report", "{out}"]),
+])
+def test_lr_whose_scale_overflows_exit_2(wide_vectors, tmp_path, command, tail):
+    xp, dp = wide_vectors
+    r = run_cli(
+        command, "--x", xp, "--delta", dp, "--seq-len", "16", "--seed-x", "1",
+        "--seed-delta", "2", "--lr", "1e308",
+        *(arg.format(out=tmp_path / "out") for arg in tail),
+    )
+    assert input_error(r).startswith("error: scale at lr = 1e+308: ")
+
+
+def test_stats_report_writes_an_overflowing_variance_as_null(wide_vectors, tmp_path):
+    """F is about 2^995 at lr = 1e300, so F^2 is past float64; the report stays strict JSON."""
+    xp, dp = wide_vectors
+    report = tmp_path / "r.json"
+    r = run_cli(
+        "stats", "--x", xp, "--delta", dp, "--seq-len", "16", "--trials", "4",
+        "--lr", "1e300", "--report", str(report),
+    )
+    assert r.returncode == 0, r.stderr
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    entries = json.loads(report.read_text(), parse_constant=refuse)["entries"]
+    assert len(entries) == 4
+    for e in entries:
+        assert e["analytic_variance"] is None
+        assert abs(e["analytic_mean"]) > 1e299  # the mean stays a number
 
 
 def test_train_smoke_and_outputs(tmp_path):
@@ -333,17 +373,14 @@ def test_bad_seed_exit_2(vectors, tmp_path, command):
     xp, dp = vectors
     paths = dict(x=xp, d=dp, out=str(tmp_path / "out"), cfg=str(cfg))
     r = run_cli(*(arg.format(**paths) for arg in BAD_SEED_RUNS[command]))
-    assert r.returncode == 2
-    assert "seed" in r.stderr
-    assert "Traceback" not in r.stderr
+    assert "seed" in input_error(r)
 
 
 def test_train_bad_config_names_field(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs = 0\n")
     r = run_cli("train", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
-    assert r.returncode == 2
-    assert "epochs" in r.stderr
+    assert "epochs" in input_error(r)
 
 
 @pytest.mark.parametrize("line", ["seed_data = -1", "seed_init = -1", "noise = nan"])
@@ -352,9 +389,7 @@ def test_train_bad_config_value_exit_2_before_training(tmp_path, line):
     cfg.write_text(f"epochs = 1\nn_samples = 40\n{line}\n")
     out = tmp_path / "o"
     r = run_cli("train", "--config", str(cfg), "--out-dir", str(out))
-    assert r.returncode == 2
-    assert line.split()[0] in r.stderr
-    assert "Traceback" not in r.stderr
+    assert line.split()[0] in input_error(r)
     assert not (out / "metrics.csv").exists()
 
 
@@ -362,8 +397,7 @@ def test_train_unknown_key_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("learning_rate = 0.1\n")
     r = run_cli("train", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
-    assert r.returncode == 2
-    assert "learning_rate" in r.stderr
+    assert "learning_rate" in input_error(r)
 
 
 def _console_script_target(name):
@@ -410,9 +444,7 @@ def test_train_non_utf8_config_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"epochs = 1\n\xff\n")
     r = run_cli("train", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
-    assert r.returncode == 2
-    assert str(cfg) in r.stderr
-    assert "Traceback" not in r.stderr
+    assert str(cfg) in input_error(r)
 
 
 def test_outer_csv_value_beyond_binary16_exit_2(vectors, tmp_path):
@@ -423,8 +455,7 @@ def test_outer_csv_value_beyond_binary16_exit_2(vectors, tmp_path):
         "outer", "--x", str(xp), "--delta", dp, "--seq-len", "16",
         "--seed-x", "ACE1", "--seed-delta", "1234", "--out", str(tmp_path / "u.bin"),
     )
-    assert r.returncode == 2
-    assert r.stderr.splitlines() == [f"error: {xp}:2: 70000.0 is beyond binary16's range"]
+    assert input_error(r) == f"error: {xp}:2: 70000.0 is beyond binary16's range"
 
 
 def test_stats_trials_beyond_2_to_the_31_exit_2(vectors, tmp_path):
@@ -434,6 +465,4 @@ def test_stats_trials_beyond_2_to_the_31_exit_2(vectors, tmp_path):
         "--trials", "99999999999999999999",
         "--report", str(tmp_path / "report.json"),
     )
-    assert r.returncode == 2
-    (line,) = r.stderr.splitlines()  # one line, no traceback
-    assert line.startswith("error: trials must be an integer")
+    assert input_error(r).startswith("error: trials must be an integer")

@@ -134,10 +134,12 @@ def test_mlp_parameters_are_binary16():
     for w, b in zip(model.weights, model.biases):
         assert w.dtype == np.float16
         assert b.dtype == np.float16
-    acts, zs = model.forward(np.zeros((4, 2), dtype=np.float16))
+    x = np.zeros((4, 2), dtype=np.float16)
+    acts = model.forward(x)
     assert all(a.dtype == np.float16 for a in acts)
-    assert all(z.dtype == np.float16 for z in zs)
-    assert acts[1].tolist() == np.maximum(zs[0], 0).tolist()
+    z32 = x.astype(np.float32) @ model.weights[0].astype(np.float32).T
+    z = (z32 + model.biases[0].astype(np.float32)).astype(np.float16)
+    assert acts[1].tolist() == np.maximum(z, 0).tolist()
 
 
 def test_softmax_cross_entropy_gradient_shape():
@@ -216,6 +218,42 @@ def test_metrics_csv_format(tmp_path):
     assert all(float(v) >= 0 for v in first[1:])
 
 
+@pytest.mark.parametrize("mode", ["exact", "stochastic(16)"])
+def test_train_calls_forward_and_backward_once_a_step(monkeypatch, mode):
+    """forward runs once a step and once an epoch to evaluate; backward once a step.
+
+    The bench times a step from one forward call to the next, so it relies on this.
+    """
+    config = _tiny(mode)
+    n_train = train_module._load_dataset(config).x_train.shape[0]
+    steps = -(-n_train // config.batch_size)
+    calls = {"forward": 0, "backward": 0, "dead units": 0}
+
+    class Counted(Mlp):
+        def forward(self, x):
+            calls["forward"] += 1
+            return super().forward(x)
+
+        def backward(self, acts, error):
+            calls["backward"] += 1
+            layers = super().backward(acts, error)
+            assert len(layers) == len(self.weights)
+            for i, (a, d) in enumerate(layers):
+                assert np.array_equal(a.view(np.uint16), acts[i].view(np.uint16))
+                if i + 1 < len(layers):  # a hidden unit that ReLU zeroed has error +-0
+                    dead = acts[i + 1] == 0
+                    assert (d[dead] == 0).all()
+                    calls["dead units"] += int(dead.sum())
+            return layers
+
+    monkeypatch.setattr(train_module, "Mlp", Counted)
+    metrics = train(config)
+    assert not metrics.diverged and len(metrics.epochs) == config.epochs
+    assert calls["forward"] == config.epochs * steps + config.epochs
+    assert calls["backward"] == config.epochs * steps
+    assert calls["dead units"] > 0
+
+
 class _OverflowingBackward(Mlp):
     """A net whose forward pass stays finite but whose backward overflows.
 
@@ -237,11 +275,11 @@ class _OverflowingBackward(Mlp):
 @pytest.mark.parametrize("mode", ["exact", "stochastic(16)"])
 def test_non_finite_layer_error_ends_fit_diverged(monkeypatch, mode):
     model = _OverflowingBackward((2, 8, 2), seed_init=6)
-    acts, zs = model.forward(np.array([[0.5, 0.5]], dtype=np.float16))
+    acts = model.forward(np.array([[0.5, 0.5]], dtype=np.float16))
     assert np.isfinite(acts[-1]).all()
     with np.errstate(over="ignore"):
-        deltas = model.backward(zs, np.array([[1.0, -1.0]], dtype=np.float16))
-    assert not np.isfinite(deltas[0]).all()
+        layers = model.backward(acts, np.array([[1.0, -1.0]], dtype=np.float16))
+    assert not np.isfinite(layers[0][1]).all()
 
     monkeypatch.setattr(train_module, "Mlp", _OverflowingBackward)
     metrics = train(_tiny(mode))
@@ -251,16 +289,17 @@ def test_non_finite_layer_error_ends_fit_diverged(monkeypatch, mode):
 class _LastLayerOverflow(Mlp):
     """A net whose output layer's error is inf while the earlier layers' stay finite."""
 
-    def backward(self, zs, delta_out):
-        deltas = super().backward(zs, delta_out)
-        deltas[-1] = deltas[-1].copy()
-        deltas[-1][0, 0] = np.inf
-        return deltas
+    def backward(self, acts, error):
+        layers = super().backward(acts, error)
+        a, d = layers[-1]
+        d = d.copy()
+        d[0, 0] = np.inf
+        return layers[:-1] + [(a, d)]
 
 
 @pytest.mark.parametrize("net, updated", [
     (_OverflowingBackward, []),  # layer 0's error overflows: nothing updates
-    (_LastLayerOverflow, [0]),  # layer 1's input is inf: layer 0 still updates
+    (_LastLayerOverflow, [0]),  # layer 1's error is inf: layer 0 still updates
 ])
 def test_diverging_step_updates_the_layers_before_the_first_non_finite_one(
     monkeypatch, net, updated

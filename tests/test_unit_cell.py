@@ -14,6 +14,7 @@ from scop.unit_cell import (
     MAX_SEQ_LEN,
     f_scale,
     f_scale_with_lr,
+    scale_exponents,
     shift_pack,
     unit_cell_multiply,
 )
@@ -52,6 +53,12 @@ def test_f_scale_rejects_bad_seq_len():
         f_scale_with_lr(0.0, 0, 0, 16)
     with pytest.raises(DomainError):
         f_scale_with_lr(-0.1, 0, 0, 16)
+
+
+def test_a_scale_that_overflows_is_refused_without_a_warning():
+    # lr * 2^3 is past float64; the inf is refused as a DomainError, not warned about
+    with pytest.raises(DomainError, match=r"^scale at lr = 1e\+308: "):
+        scale_exponents(2, 1, 16, 1e308)
 
 
 def test_shift_pack_example():
