@@ -1,7 +1,7 @@
 """Bit-exact model of a stochastic-computing outer-product datapath."""
 
 from .errors import ContractError, DomainError, SeedError
-from .fp16 import PowerOfTwoScale, decode_bits
+from .fp16 import decode_bits
 from .lfsr import Lfsr
 from .encoder import StochasticSequence, encode, probability_of, vector_exponent
 from .unit_cell import f_scale, f_scale_with_lr, shift_pack, unit_cell_multiply
@@ -21,7 +21,6 @@ __all__ = [
     "ContractError",
     "DomainError",
     "SeedError",
-    "PowerOfTwoScale",
     "decode_bits",
     "encode_value",
     "quantize",

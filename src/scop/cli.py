@@ -21,7 +21,6 @@ import sys
 from .encoder import StochasticSequence, encode, probability_of, vector_exponent
 from .engine import OuterProductJob, outer_product
 from .errors import ContractError, DomainError
-from .fp16 import PowerOfTwoScale
 from .formats import read_vector, write_matrix
 from .lfsr import Lfsr
 from .oracle import analytic_moments, empirical_stats
@@ -129,7 +128,7 @@ def cmd_encode(args) -> int:
 def cmd_mul(args) -> int:
     a = StochasticSequence(args.a_bits, args.a_sign, args.seq_len)
     b = StochasticSequence(args.b_bits, args.b_sign, args.seq_len)
-    result = unit_cell_multiply(a, b, PowerOfTwoScale(args.scale_exp))
+    result = unit_cell_multiply(a, b, args.scale_exp)
     print(f"count={result.count}")
     print(f"sign={result.sign}")
     print(f"bits=0x{result.bits:04x}")
@@ -149,7 +148,7 @@ def cmd_outer(args) -> int:
     )
     result = outer_product(job)
     write_matrix(args.out, result.entries, args.format)
-    scale = "none" if result.scale is None else str(result.scale.exponent)
+    scale = "none" if result.scale is None else str(result.scale)
     print(
         f"rng_draws={result.rng_draws} f_scale_exponent={scale}",
         file=sys.stderr,

@@ -75,7 +75,7 @@ import numpy as np
 
 from .encoder import check_seq_len, encode_levels
 from .errors import ContractError, DomainError, is_int
-from .fp16 import MAX_FINITE, MIN_SUBNORMAL, PowerOfTwoScale, ceil_exponents
+from .fp16 import MAX_FINITE, MIN_SUBNORMAL, ceil_exponents
 from .lfsr import check_seeds, word_matrix
 from .unit_cell import scale_exponents
 
@@ -150,11 +150,11 @@ def _checked_groups(groups, seq_len, seeds, lr):
 
 @dataclass(frozen=True)
 class UpdateMatrix:
-    """Result grid (rows = len(delta), cols = len(x)) plus the draw audit."""
+    """Result grid (rows = len(delta), cols = len(x)), the draw audit and the scale exponent."""
 
     entries: np.ndarray
     rng_draws: int
-    scale: PowerOfTwoScale | None = None
+    scale: int | None = None  # e of the job's scale 2^e; None for a dead job or a sum of jobs
 
 
 # packed byte width of a stream row -> the one machine word that holds it
@@ -327,8 +327,7 @@ def outer_product(job: OuterProductJob) -> UpdateMatrix:
     (entries,), draws, exponents = _run_jobs(
         [(job.x[None], job.delta[None])], job.seq_len, seeds, job.lr
     )
-    scale = PowerOfTwoScale(int(exponents[0])) if draws else None
-    return UpdateMatrix(entries[0], draws, scale)
+    return UpdateMatrix(entries[0], draws, int(exponents[0]) if draws else None)
 
 
 def outer_product_many(
@@ -385,8 +384,8 @@ def apply_update(
         raise ContractError(f"shape mismatch: weights {w.shape} vs update {dw.shape}")
     if not (math.isfinite(lr) and lr > 0):
         raise DomainError("lr must be finite and positive")
-    if not 0 <= momentum < 1:
-        raise DomainError("momentum must be in [0, 1)")
+    if not 0 <= momentum < 1 or np.float16(momentum) == 1:  # 1 - 2^-12 and up round to 1
+        raise DomainError("momentum must be in [0, 1) in binary16")
     if velocity is None:
         v = np.zeros_like(w)
     else:

@@ -1,4 +1,4 @@
-"""IEEE 754 binary16 layout, decoding and the power-of-two helpers the datapath uses.
+"""IEEE 754 binary16 layout, decoding and the exponent helpers; a scale 2^e is the int e.
 
 Bit layout (MSB first), bias 15:
 
@@ -12,7 +12,6 @@ checks it, oracle.encode_value, lives with the other references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +41,6 @@ def decode_bits(bits: int) -> float:
         return sign * math.ldexp(m, -24)
     # normal: (1024 + m) * 2^(e - 15 - 10)
     return sign * math.ldexp(1024 + m, e - 25)
-
-
-@dataclass(frozen=True)
-class PowerOfTwoScale:
-    """An exact power of two, 2**exponent; multiplication by it is a shift."""
-
-    exponent: int
-
-    @property
-    def value(self) -> float:
-        return math.ldexp(1.0, self.exponent)
 
 
 def _positive_finite(values) -> np.ndarray:

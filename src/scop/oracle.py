@@ -201,7 +201,7 @@ def enumerate_unit_cell(
         counts = (counts[:, None] + event[None, :]).reshape(-1)
 
     outcomes = Fraction(space) ** (2 * seq_len)
-    f = Fraction(2) ** f_scale(e_x, e_delta, seq_len).exponent
+    f = Fraction(2) ** f_scale(e_x, e_delta, seq_len)
     sign = -1 if (x < 0) != (delta < 0) else 1
     total = int(counts.sum())
     total_sq = int((counts * counts).sum())

@@ -77,8 +77,8 @@ class TrainingConfig:
                 raise DomainError(f"{name}: must be an integer of at least {low}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise DomainError("lr: must be finite and positive")
-        if not 0 <= self.momentum < 1:
-            raise DomainError("momentum: must be in [0, 1)")
+        if not 0 <= self.momentum < 1 or np.float16(self.momentum) == 1:
+            raise DomainError("momentum: must be in [0, 1) in binary16")
         parse_mode(self.mode)
         if self.dataset not in ("two-moons", "digits8x8"):
             raise DomainError(f"dataset: unknown dataset {self.dataset!r}")

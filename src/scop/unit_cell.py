@@ -1,9 +1,9 @@
 """Single multiplier cell: AND, popcount, and power-of-two output packing.
 
 The product of two encoded operands is popcount(a & b) scaled by a
-power-of-two factor, with sign a one-bit XOR. Because the scale is a power
-of two, the result is packed into a binary16 word by placing the popcount in
-the significand field and adding exponents; no multiplier participates.
+power-of-two factor 2^e, with sign a one-bit XOR. The scale travels as its
+int exponent e, so the result is packed into a binary16 word by placing the
+popcount in the significand field and adding e; no multiplier participates.
 shift_pack returns the one cell record, UnitCellResult, count and sign included.
 
 The combined scale for an outer product of vectors normalized by 2^E_X and
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .fp16 import MAX_FINITE_BITS, PowerOfTwoScale, decode_bits, floor_exponents
+from .fp16 import MAX_FINITE_BITS, decode_bits, floor_exponents
 from .encoder import MAX_SEQ_LEN, StochasticSequence, check_seq_len
 
 
@@ -38,14 +38,14 @@ def scale_exponents(e_x, e_delta, seq_len: int, lr: float | None = None) -> np.n
         raise DomainError(f"scale at lr = {mantissa!r}: {exc}") from None
 
 
-def f_scale(e_x: int, e_delta: int, seq_len: int) -> PowerOfTwoScale:
-    """floor-pow2 of 2^(e_x + e_delta) / seq_len."""
-    return PowerOfTwoScale(int(scale_exponents(e_x, e_delta, seq_len)))
+def f_scale(e_x: int, e_delta: int, seq_len: int) -> int:
+    """Exponent of floor-pow2(2^(e_x + e_delta) / seq_len)."""
+    return int(scale_exponents(e_x, e_delta, seq_len))
 
 
-def f_scale_with_lr(lr: float, e_x: int, e_delta: int, seq_len: int) -> PowerOfTwoScale:
-    """Scale with the learning rate folded in before the power-of-two fold."""
-    return PowerOfTwoScale(int(scale_exponents(e_x, e_delta, seq_len, lr)))
+def f_scale_with_lr(lr: float, e_x: int, e_delta: int, seq_len: int) -> int:
+    """Scale exponent with the learning rate folded in before the power-of-two fold."""
+    return int(scale_exponents(e_x, e_delta, seq_len, lr))
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class UnitCellResult:
         return decode_bits(self.bits)
 
 
-def shift_pack(sign: int, count: int, scale: PowerOfTwoScale) -> UnitCellResult:
-    """Pack sign * count * scale into binary16 without multiplying.
+def shift_pack(sign: int, count: int, exponent: int) -> UnitCellResult:
+    """Pack sign * count * 2^exponent into binary16 without multiplying.
 
     count's leading-one position sets the exponent field; the remaining bits
     drop into the significand. Within the supported counter range the normal
@@ -80,7 +80,7 @@ def shift_pack(sign: int, count: int, scale: PowerOfTwoScale) -> UnitCellResult:
         return UnitCellResult(0, sign, 0x0000)  # positive zero regardless of sign
 
     n = count.bit_length()
-    unbiased = scale.exponent + n - 1
+    unbiased = exponent + n - 1
     biased = unbiased + 15
     if biased >= 31:
         return UnitCellResult(count, sign, (sign << 15) | MAX_FINITE_BITS, overflow=True)
@@ -94,8 +94,8 @@ def shift_pack(sign: int, count: int, scale: PowerOfTwoScale) -> UnitCellResult:
             frac = (count >> -shift) & 0x3FF  # only count = 2048; dropped bit is 0
         return UnitCellResult(count, sign, (sign << 15) | (biased << 10) | frac)
 
-    # subnormal: significand is count * 2^(e_scale + 24) on the 2^-24 grid
-    k = min(-(scale.exponent + 24), 12)  # a count < 2^12 rounds to 0 at every k >= 12
+    # subnormal: significand is count * 2^(exponent + 24) on the 2^-24 grid
+    k = min(-(exponent + 24), 12)  # a count < 2^12 rounds to 0 at every k >= 12
     if k <= 0:
         return UnitCellResult(count, sign, (sign << 15) | (count << -k))
     m = count >> k
@@ -107,7 +107,7 @@ def shift_pack(sign: int, count: int, scale: PowerOfTwoScale) -> UnitCellResult:
 
 
 def unit_cell_multiply(
-    a: StochasticSequence, b: StochasticSequence, scale: PowerOfTwoScale
+    a: StochasticSequence, b: StochasticSequence, exponent: int
 ) -> UnitCellResult:
     """One cell of the outer-product array: AND, popcount, XOR sign, pack."""
     if a.seq_len != b.seq_len:
@@ -115,4 +115,4 @@ def unit_cell_multiply(
             f"sequence length mismatch: {a.seq_len} vs {b.seq_len}"
         )
     check_seq_len(a.seq_len)
-    return shift_pack(a.sign ^ b.sign, (a.bits & b.bits).bit_count(), scale)
+    return shift_pack(a.sign ^ b.sign, (a.bits & b.bits).bit_count(), exponent)

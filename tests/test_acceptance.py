@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from scop.engine import OuterProductJob, outer_product
-from scop.fp16 import PowerOfTwoScale
 from scop.lfsr import PERIOD, Lfsr
 from scop.oracle import (
     analytic_moments,
@@ -46,13 +45,12 @@ def test_acceptance_shift_pack_exactness():
     counts = np.arange(2049, dtype=np.float64)
     checked = 0
     for e in range(-14, 5):
-        scale = PowerOfTwoScale(e)
         pos = np.ldexp(counts, e).astype(np.float16).view(np.uint16)
         neg = np.ldexp(-counts, e).astype(np.float16).view(np.uint16)
         neg[0] = 0x0000  # empty overlap packs +0 regardless of sign
         for c in range(2049):
-            assert shift_pack(0, c, scale).bits == int(pos[c]), (c, e)
-            assert shift_pack(1, c, scale).bits == int(neg[c]), (c, e)
+            assert shift_pack(0, c, e).bits == int(pos[c]), (c, e)
+            assert shift_pack(1, c, e).bits == int(neg[c]), (c, e)
             checked += 2
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -218,7 +216,7 @@ def test_acceptance_zero_annihilation():
     assert seq.bits == 0 and seq.sign == 0
 
     dense = StochasticSequence(0xFFFF, 1, 16)
-    cell = unit_cell_multiply(seq, dense, PowerOfTwoScale(-4))
+    cell = unit_cell_multiply(seq, dense, -4)
     assert cell.count == 0 and cell.value == 0.0
 
     x = np.array([0.5, 0.0, -0.75], dtype=np.float16)

@@ -150,10 +150,26 @@ def test_outer_golden_and_audit(vectors, tmp_path):
         "--seed-x", "ACE1", "--seed-delta", "1234", "--out", out,
     )
     assert r.returncode == 0
-    assert "rng_draws=32" in r.stderr
-    assert "f_scale_exponent=-5" in r.stderr
+    assert r.stderr == "rng_draws=32 f_scale_exponent=-5\n"
     mat = read_matrix(out)
     assert mat.tolist() == [[0.5, -0.5]]
+
+
+@pytest.mark.parametrize("lr, x, line", [
+    ("0.1", [0.5, -0.5], "rng_draws=32 f_scale_exponent=-9"),  # floor-pow2(0.1 * 2^-5)
+    (None, [0.0, 0.0], "rng_draws=0 f_scale_exponent=none"),  # a dead job has no scale
+])
+def test_outer_audit_line(tmp_path, lr, x, line):
+    xp, dp, out = (str(tmp_path / name) for name in ("x.bin", "d.bin", "u.bin"))
+    write_vector(xp, np.array(x, dtype=np.float16), "bin")
+    write_vector(dp, np.array([1.0], dtype=np.float16), "bin")
+    r = run_cli(
+        "outer", "--x", xp, "--delta", dp, "--seq-len", "16",
+        "--seed-x", "ACE1", "--seed-delta", "1234", "--out", out,
+        *(("--lr", lr) if lr else ()),
+    )
+    assert r.returncode == 0
+    assert r.stderr == line + "\n"
 
 
 def test_outer_byte_identical_reruns(vectors, tmp_path):

@@ -26,7 +26,7 @@ from scop.engine import (
     _pack_table,
 )
 from scop.errors import ContractError, DomainError, SeedError
-from scop.fp16 import MAX_FINITE, PowerOfTwoScale
+from scop.fp16 import MAX_FINITE
 from scop.lfsr import Lfsr
 from scop.train import TrainingConfig, train
 from scop.unit_cell import (
@@ -72,7 +72,7 @@ def test_golden_job():
     # fires and the result is exact: 16 * 2^(-1+0-4) = 0.5
     assert out.entries.tolist() == [[0.5, -0.5]]
     assert out.rng_draws == 32
-    assert out.scale == PowerOfTwoScale(-5)
+    assert out.scale == -5 and type(out.scale) is int
     assert out.entries.shape == (1, 2)
 
 
@@ -142,8 +142,8 @@ def test_lr_folding_changes_scale_only():
     d = np.array([0.5], dtype=np.float16)
     plain = outer_product(OuterProductJob(x, d, 16, 0xACE1, 0x1234))
     folded = outer_product(OuterProductJob(x, d, 16, 0xACE1, 0x1234, lr=0.1))
-    assert plain.scale.exponent == -6
-    assert folded.scale.exponent == -10  # floor-pow2(0.1 * 2^-6)
+    assert plain.scale == -6
+    assert folded.scale == -10  # floor-pow2(0.1 * 2^-6)
     assert float(plain.entries[0, 0]) == 0.25
     assert float(folded.entries[0, 0]) == 0.25 * 2.0 ** -4
 
@@ -290,6 +290,20 @@ def test_apply_update_momentum_recurrence():
     expected = np.float16(np.float16(m16 * np.float16(0.125)) + np.float16(0.125))
     assert v2[0, 0] == expected
     assert w2[0, 0] == np.float16(w1[0, 0] - expected)
+
+
+@pytest.mark.parametrize("momentum", [0.99999, 1 - 2**-12, 1.0, 1e10, -0.5, math.nan])
+def test_apply_update_rejects_a_momentum_not_below_1_in_binary16(momentum):
+    w = np.zeros((1, 1), dtype=np.float16)
+    with pytest.raises(DomainError, match="momentum"):
+        apply_update(w, w, 1.0, False, momentum)  # 0.99999 once kept v growing by g a step
+
+
+def test_apply_update_takes_the_largest_binary16_momentum_below_1():
+    w = np.zeros((1, 1), dtype=np.float16)
+    _, v = apply_update(w, np.ones_like(w), 1.0, False, 1 - 2**-11)
+    _, v = apply_update(w, np.zeros_like(w), 1.0, False, 1 - 2**-11, v)
+    assert v[0, 0] == np.float16(1 - 2**-11)
 
 
 def test_apply_update_lr_folded_skips_multiply():
@@ -456,9 +470,8 @@ def test_pack_table_matches_shift_pack():
     table = _pack_table(MAX_SEQ_LEN, exponents).view(np.uint16)
     assert table.shape == (exponents.size, 2, MAX_SEQ_LEN + 1)
     for b, e in enumerate(exponents):
-        scale = PowerOfTwoScale(int(e))
         for sign in (0, 1):
-            ref = [shift_pack(sign, c, scale).bits for c in range(MAX_SEQ_LEN + 1)]
+            ref = [shift_pack(sign, c, int(e)).bits for c in range(MAX_SEQ_LEN + 1)]
             assert table[b, sign].tolist() == ref, (int(e), sign)
 
 

@@ -49,7 +49,7 @@ def _sweep(h) -> None:
             seed += 2
             for xs, ds in ((x, d), (np.zeros_like(x), d), (x, np.zeros_like(d))):
                 out = outer_product(OuterProductJob(xs, ds, seq_len, 0xACE1 + k, 0x2C9F, lr))
-                add(out.entries, out.rng_draws, out.scale and out.scale.exponent)
+                add(out.entries, out.rng_draws, out.scale)
 
     for seq_len, lr in ((16, None), (65, 0.1), (300, 0.03)):
         xs = _operands(seed, (20, 9), 3)

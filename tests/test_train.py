@@ -72,6 +72,7 @@ def test_config_validation_names_fields():
     ("n_samples", 40.0),
     ("topology", (2, 4.0, 2)),
     ("epochs", True),  # once trained one epoch
+    ("momentum", 0.99999),  # rounds to 1 in binary16: the velocity never decayed
 ])
 def test_config_rejects_a_bad_field_before_training(fieldname, value):
     with pytest.raises(DomainError) as err:
