@@ -62,7 +62,7 @@ from its class's row. Whole-job tiles, which every training step and every
 empirical_stats block use, count every row and every word as above.
 
 apply_update folds the matrix into weights with momentum, every arithmetic
-step rounded to binary16.
+step rounded to binary16; step_factors checks its lr and momentum there.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ import numpy as np
 
 from .encoder import check_seq_len, encode_levels
 from .errors import ContractError, DomainError, is_int
-from .fp16 import MAX_FINITE, MIN_SUBNORMAL, ceil_exponents
+from .fp16 import MAX_FINITE, MIN_SUBNORMAL, ROUNDS_TO_INF, ceil_exponents
 from .lfsr import check_seeds, word_matrix
 from .unit_cell import scale_exponents
 
@@ -364,38 +364,43 @@ def outer_product_groups(groups, seq_len: int, seeds: np.ndarray, lr: float | No
     return _run_jobs(groups, seq_len, seeds, lr)[0]
 
 
+def step_factors(lr: float | None, momentum: float):
+    """A step's binary16 (lr, momentum): lr > 0 and finite, or None if folded; momentum in [0, 1).
+
+    Each range is checked before its cast, so no cast overflows; NaN fails every compare.
+    """
+    lr16 = None if lr is None else np.float16(lr if 0 < lr < ROUNDS_TO_INF else 0)
+    if lr16 == 0:  # out of range, or at most 2^-25, which rounds to 0
+        raise DomainError(f"lr: must be positive and finite in binary16, got {lr!r}")
+    momentum16 = np.float16(momentum if 0 <= momentum < 1 else 1)
+    if momentum16 == 1:  # 1 - 2^-12 and up round to 1
+        raise DomainError(f"momentum: must be in [0, 1) in binary16, got {momentum!r}")
+    return lr16, momentum16
+
+
 def apply_update(
     weights: np.ndarray,
     update,
-    lr: float,
-    lr_folded: bool,
+    lr: float | None,
     momentum: float,
     velocity: np.ndarray | None = None,
 ):
-    """Momentum SGD step in binary16: v' = m*v + dW; W' = W - lr_eff * v'.
+    """Momentum SGD step in binary16: v' = m*v + dW; W' = W - lr*v'.
 
-    Every multiply and add rounds to binary16. When the learning rate was
-    folded into the update's scale, lr_eff is 1 and no multiply happens here.
-    Returns (new_weights, new_velocity).
+    Every multiply and add rounds to binary16, and so do lr and momentum
+    (step_factors). lr None means the engine folded it into the update's
+    scale, so no multiply happens here. Returns (new_weights, new_velocity).
     """
     dw = np.asarray(update, dtype=np.float16)
     w = np.asarray(weights, dtype=np.float16)
     if w.shape != dw.shape:
         raise ContractError(f"shape mismatch: weights {w.shape} vs update {dw.shape}")
-    if not (math.isfinite(lr) and lr > 0):
-        raise DomainError("lr must be finite and positive")
-    if not 0 <= momentum < 1 or np.float16(momentum) == 1:  # 1 - 2^-12 and up round to 1
-        raise DomainError("momentum must be in [0, 1) in binary16")
-    if velocity is None:
-        v = np.zeros_like(w)
-    else:
-        v = np.asarray(velocity, dtype=np.float16)
-        if v.shape != w.shape:
-            raise ContractError("velocity shape mismatch")
-
-    v = np.float16(momentum) * v + dw
-    step = v if lr_folded else np.float16(lr) * v
-    return w - step, v
+    lr, momentum = step_factors(lr, momentum)
+    v = np.zeros_like(w) if velocity is None else np.asarray(velocity, dtype=np.float16)
+    if v.shape != w.shape:
+        raise ContractError("velocity shape mismatch")
+    v = momentum * v + dw
+    return w - (v if lr is None else lr * v), v
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ gradient comes from one of two per-batch routes, selected by mode:
   engine; the jobs are summed in batch order, rounding to binary16 after
   each add (engine.sum_updates), then multiplied by binary16 1/b.
 
-Bias gradients always take the exact route; the outer-product unit only
-covers the weight grid. Updates are momentum SGD in binary16 either way.
+Bias gradients always take the exact route and the lr unfolded; the unit
+covers only the weight grid. Updates are momentum SGD in binary16 either
+way; TrainingConfig checks the whole lr schedule for them before training.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .datasets import Dataset, generate_two_moons, load_digits_csv
 from .encoder import check_seq_len
-from .engine import apply_update, derive_seed_pairs, outer_product_groups, sum_updates
+from .engine import apply_update, derive_seed_pairs, outer_product_groups, step_factors, sum_updates
 from .errors import DomainError, is_int
 from .formats import read_text
 from .lfsr import check_seeds
@@ -75,10 +76,8 @@ class TrainingConfig:
                           ("seed_data", 0), ("seed_init", 0)):
             if not is_int(getattr(self, name), low):
                 raise DomainError(f"{name}: must be an integer of at least {low}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise DomainError("lr: must be finite and positive")
-        if not 0 <= self.momentum < 1 or np.float16(self.momentum) == 1:
-            raise DomainError("momentum: must be in [0, 1) in binary16")
+        for lr in (self.lr, _lr_at(self, self.epochs - 1)):  # the schedule only falls
+            step_factors(lr, self.momentum)  # the biases take lr unfolded either way
         parse_mode(self.mode)
         if self.dataset not in ("two-moons", "digits8x8"):
             raise DomainError(f"dataset: unknown dataset {self.dataset!r}")
@@ -259,12 +258,11 @@ def train(config: TrainingConfig) -> RunMetrics:
             for layer, (grad_w, (_, d)) in enumerate(zip(grads_w, layers)):
                 grad_b = d.astype(np.float64).mean(axis=0).astype(np.float16)
                 model.weights[layer], velocities_w[layer] = apply_update(
-                    model.weights[layer], grad_w, lr, folded,
+                    model.weights[layer], grad_w, None if folded else lr,
                     config.momentum, velocities_w[layer],
                 )
                 model.biases[layer], velocities_b[layer] = apply_update(
-                    model.biases[layer], grad_b, lr, False,
-                    config.momentum, velocities_b[layer],
+                    model.biases[layer], grad_b, lr, config.momentum, velocities_b[layer],
                 )
             if metrics.diverged:
                 break

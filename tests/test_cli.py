@@ -1,5 +1,13 @@
-"""CLI tests: golden output, determinism, exit codes. All via subprocess."""
+"""CLI tests: golden output, determinism, exit codes.
 
+Most run scop.cli.main in this process, so an uncaught exception or warning
+fails the test outright; the lfsr golden, its exit-2 twin and the console
+script tests start a process, so module entry and process exit codes stay
+covered.
+"""
+
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -9,17 +17,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scop import cli
 from scop.encoder import vector_exponent
 from scop.formats import read_matrix, write_vector
 from scop.oracle import analytic_moments, empirical_stats
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args):
+    """scop.cli.main(args) in this process -> its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's exit 2, or --help's 0
+            code = exc.code or 0
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args):
+    """`python -m scop.cli args` in a new process."""
     return subprocess.run(
-        [sys.executable, "-m", "scop.cli", *args],
-        capture_output=True,
-        text=True,
-        **kwargs,
+        [sys.executable, "-m", "scop.cli", *args], capture_output=True, text=True
     )
 
 
@@ -32,13 +50,13 @@ def input_error(r) -> str:
 
 
 def test_lfsr_golden_words():
-    r = run_cli("lfsr", "--seed", "ACE1", "--count", "4")
+    r = run_module("lfsr", "--seed", "ACE1", "--count", "4")
     assert r.returncode == 0
     assert r.stdout.splitlines() == ["0877", "fb62", "b2b0", "e3e5"]
 
 
 def test_lfsr_zero_seed_exit_2():
-    r = run_cli("lfsr", "--seed", "0", "--count", "4")
+    r = run_module("lfsr", "--seed", "0", "--count", "4")
     assert "seed" in input_error(r)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ def test_batch_rejects_non_finite_operands(x, d):
 def test_apply_update_plain_sgd():
     w = np.array([[1.0, -1.0]], dtype=np.float16)
     g = np.array([[0.5, 0.5]], dtype=np.float16)
-    w2, v = apply_update(w, g, lr=0.25, lr_folded=False, momentum=0.0)
+    w2, v = apply_update(w, g, lr=0.25, momentum=0.0)
     assert w2.tolist() == [[0.875, -1.125]]
     assert v.tolist() == [[0.5, 0.5]]
 
@@ -283,9 +284,9 @@ def test_apply_update_momentum_recurrence():
     """Constant gradient g with momentum 0.9: v_2 = 1.9 g exactly in fp16."""
     w = np.zeros((1, 1), dtype=np.float16)
     g = np.full((1, 1), 0.125, dtype=np.float16)
-    w1, v1 = apply_update(w, g, 1.0, False, 0.9)
+    w1, v1 = apply_update(w, g, 1.0, 0.9)
     assert float(v1[0, 0]) == 0.125
-    w2, v2 = apply_update(w1, g, 1.0, False, 0.9, v1)
+    w2, v2 = apply_update(w1, g, 1.0, 0.9, v1)
     m16 = np.float16(0.9)
     expected = np.float16(np.float16(m16 * np.float16(0.125)) + np.float16(0.125))
     assert v2[0, 0] == expected
@@ -296,27 +297,41 @@ def test_apply_update_momentum_recurrence():
 def test_apply_update_rejects_a_momentum_not_below_1_in_binary16(momentum):
     w = np.zeros((1, 1), dtype=np.float16)
     with pytest.raises(DomainError, match="momentum"):
-        apply_update(w, w, 1.0, False, momentum)  # 0.99999 once kept v growing by g a step
+        apply_update(w, w, 1.0, momentum)  # 0.99999 once kept v growing by g a step
+
+
+def test_apply_update_refuses_an_lr_that_rounds_to_0():
+    w = np.ones((1, 1), dtype=np.float16)
+    with pytest.raises(DomainError, match="^lr: "):
+        apply_update(w, w, 1e-8, 0.0)  # once returned w unchanged: np.float16(1e-8) == 0
+
+
+def test_apply_update_refuses_an_lr_that_rounds_to_inf_without_a_warning():
+    w = np.ones((1, 1), dtype=np.float16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^lr: "):
+            apply_update(w, w, 1e5, 0.0)  # once warned of an overflowing cast, then gave -inf
 
 
 def test_apply_update_takes_the_largest_binary16_momentum_below_1():
     w = np.zeros((1, 1), dtype=np.float16)
-    _, v = apply_update(w, np.ones_like(w), 1.0, False, 1 - 2**-11)
-    _, v = apply_update(w, np.zeros_like(w), 1.0, False, 1 - 2**-11, v)
+    _, v = apply_update(w, np.ones_like(w), 1.0, 1 - 2**-11)
+    _, v = apply_update(w, np.zeros_like(w), 1.0, 1 - 2**-11, v)
     assert v[0, 0] == np.float16(1 - 2**-11)
 
 
 def test_apply_update_lr_folded_skips_multiply():
     w = np.zeros((1, 1), dtype=np.float16)
     g = np.array([[0.5]], dtype=np.float16)
-    w2, _ = apply_update(w, g, lr=0.125, lr_folded=True, momentum=0.0)
-    assert float(w2[0, 0]) == -0.5  # lr_eff = 1
+    w2, _ = apply_update(w, g, lr=None, momentum=0.0)
+    assert float(w2[0, 0]) == -0.5  # a folded lr: no multiply
 
 
 def test_apply_update_accepts_update_matrix():
     w = np.zeros((1, 1), dtype=np.float16)
     um = UpdateMatrix(np.array([[0.25]], dtype=np.float16), 32, None)
-    w2, _ = apply_update(w, um.entries, lr=1.0, lr_folded=False, momentum=0.0)
+    w2, _ = apply_update(w, um.entries, lr=1.0, momentum=0.0)
     assert float(w2[0, 0]) == -0.25
 
 
@@ -324,11 +339,11 @@ def test_apply_update_validation():
     w = np.zeros((2, 2), dtype=np.float16)
     g = np.zeros((2, 3), dtype=np.float16)
     with pytest.raises(ContractError):
-        apply_update(w, g, 0.1, False, 0.9)
+        apply_update(w, g, 0.1, 0.9)
     with pytest.raises(DomainError):
-        apply_update(w, w, 0.0, False, 0.9)
+        apply_update(w, w, 0.0, 0.9)
     with pytest.raises(DomainError):
-        apply_update(w, w, 0.1, False, 1.0)
+        apply_update(w, w, 0.1, 1.0)
 
 
 def test_derive_seed_properties():

@@ -22,7 +22,7 @@ CASES = {
         lambda _: check_seed_pairs([1, 2], [3]),
         ContractError, "need one seed_x and one seed_delta per job"),
     "apply_update.velocity_shape": (
-        lambda _: apply_update(np.zeros(2), np.zeros(2), 0.1, False, 0.9, np.zeros(3)),
+        lambda _: apply_update(np.zeros(2), np.zeros(2), 0.1, 0.9, np.zeros(3)),
         ContractError, "velocity shape mismatch"),
     "conv_weight_update.no_positions": (
         lambda _: conv_weight_update(np.zeros((0, 2)), np.zeros((0, 2)), 16, 1, 2),

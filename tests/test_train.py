@@ -80,6 +80,25 @@ def test_config_rejects_a_bad_field_before_training(fieldname, value):
     assert fieldname in str(err.value)
 
 
+def test_config_refuses_an_lr_that_rounds_to_inf():
+    with pytest.raises(DomainError, match="^lr: "):
+        TrainingConfig(lr=1e5)  # once accepted: np.float16(1e5) is inf
+
+
+def test_config_refuses_a_folded_lr_that_rounds_to_0():
+    """The biases take lr unfolded: at 1e-8, which rounds to 0, they never moved."""
+    with pytest.raises(DomainError, match="^lr: "):
+        TrainingConfig(lr=1e-8, lr_folded=True, mode="stochastic(16)")
+
+
+def test_config_refuses_a_digits_schedule_that_falls_to_0():
+    """2e-6 falls to 2e-8 at 85% of the epochs, which rounds to 0: the last epochs did nothing."""
+    TrainingConfig(lr=2e-6)  # a constant schedule keeps 2e-6, a binary16 subnormal
+    with pytest.raises(DomainError, match="^lr: "):
+        TrainingConfig(lr=2e-6, dataset="digits8x8", dataset_path="unread.csv",
+                       topology=(64, 8, 10))
+
+
 def test_parse_config_full():
     cfg = parse_config(
         """

@@ -33,9 +33,10 @@ def test_f_scale_with_lr_example():
     assert f_scale_with_lr(1.0, 2, -1, 16) == f_scale(2, -1, 16)
 
 
+# binary16's whole ceil-exponent range: 2^-24, its least subnormal, to 2^16 above its max finite
 @given(
-    st.integers(min_value=-16, max_value=16),
-    st.integers(min_value=-16, max_value=16),
+    st.integers(min_value=-24, max_value=16),
+    st.integers(min_value=-24, max_value=16),
     st.integers(min_value=1, max_value=MAX_SEQ_LEN),
 )
 def test_f_scale_brackets_the_true_ratio(e_x, e_d, seq_len):
