@@ -26,18 +26,27 @@ encodes to level 0, so each of its counts is 0, which packs +0):
   16-bit words (about 12x slower per word), so a 16-bit word (rows of 9 to
   16 events) is counted through its two bytes and their counts added in
   uint16; wider words count as they are, which was faster than their bytes.
-* pack: each job's scale exponent fixes a (2, seq_len + 1) binary16 table,
-  the packed output for every sign and every count 0..seq_len; an entry is
-  the table value at its XOR sign and its count. Count 0 packs +0 for
-  either sign. The count accumulates, in uint16, straight onto its sign's
-  offset in the table, so the gather index costs one int64 pass.
+* pack: each job's scale exponent fixes a (3, seq_len + 1) binary16 table,
+  the packed output for every count 0..seq_len in rows positive, negative,
+  positive. Each operand element carries a sign offset, 0 or seq_len + 1,
+  so the sum of an entry's two offsets is its product sign's row (two
+  negatives land on the third row). Count 0 packs +0 for either sign. A
+  whole-job tile builds every entry's gather index with one add of the
+  delta offset plus its job's first entry in the tile's rows of the table
+  to the x offset, in uint16 while the tile's table has at most 2^16
+  entries, else uint32; each word's count then adds on in place.
 
 Count and pack run one tile of about _TILE entries at a time: a block of
 whole jobs, or of one job's delta row classes. Their per-entry temporaries
-(the AND word, its popcount, the uint16 and the int64 gather index, up to
-19 bytes an entry) then stay in cache rather than stream through memory at
-the size of the whole update. A tile writes straight into its slice of the
-output (a class tile, below, into its compact buffer). Below 2^15 entries
+(the AND word, its popcount, the gather index and the intp copy np.take
+makes of it, up to 21 bytes an entry) then stay in cache rather than
+stream through memory at the size of the whole update. A tile writes
+straight into its slice of the output (a class tile, below, into its
+compact buffer). The output is new binary16 or a caller's float array
+(outer_product_many's out), which the table is cast to once; binary16 is
+exact in every float dtype, so the values are the same. A live call packs
+every entry, a dead job's too, so its new output is left uninitialized
+until then; a call with no live job writes zeros. Below 2^15 entries
 the per-tile calls cost up to 20%; at 2^16 a mid-size job after a large
 one (whose frees shrink the heap) page-faults its temporaries back in: 176
 faults against 64 for 256 x 256 at seq_len 16, enough to lift the median
@@ -55,11 +64,12 @@ equal entries: a job has at most 2 * (seq_len + 1) distinct rows (a
 825 at 2048). The job counts and packs each (r_j, sign) class's first row
 into a compact buffer, classes in ascending r_j, tiled so that a tile's
 prefixes all end in one stream word w. A tile starts each entry's table
-index at the XOR sign's offset plus its x column's popcount over the words
-before w (one (W, 2, n_x) uint16 table per job), and ANDs and popcounts
-word w alone with a prefix mask. One gather then writes every delta row
-from its class's row. Whole-job tiles, which every training step and every
-empirical_stats block use, count every row and every word as above.
+index at its product sign's row, of the table's first two, plus its x
+column's popcount over the words before w (one (W, 2, n_x) uint16 table
+per job), and ANDs and popcounts word w alone with a prefix mask. One
+gather then writes every delta row from its class's row. Whole-job tiles,
+which every training step and every empirical_stats block use, count every
+row and every word as above.
 
 apply_update folds the matrix into weights with momentum, every arithmetic
 step rounded to binary16; step_factors checks its lr and momentum there.
@@ -75,7 +85,9 @@ import numpy as np
 
 from .encoder import check_seq_len, encode_levels
 from .errors import ContractError, DomainError, is_int
-from .fp16 import MAX_FINITE, MIN_SUBNORMAL, ROUNDS_TO_INF, ceil_exponents
+from .fp16 import (
+    MAX_FINITE, MIN_NORMAL, MIN_SUBNORMAL, ROUNDS_TO_INF, SIGN_MASK, ceil_exponents,
+)
 from .lfsr import check_seeds, word_matrix
 from .unit_cell import scale_exponents
 
@@ -83,6 +95,7 @@ from .unit_cell import scale_exponents
 _SEED_FALLBACK = 0x5EED
 _COUNTER_MASK = (1 << 48) - 1
 _TILE = 1 << 15  # entries per count-and-pack tile; see the module docstring
+_SIGN_ROWS = np.array([[0], [SIGN_MASK], [0]], dtype=np.uint16)  # a pack table's sign bits
 
 
 @dataclass(frozen=True)
@@ -187,29 +200,37 @@ _PREFIX_WORDS = _stream_words((np.arange(64) < np.arange(65)[:, None])[None]).re
 
 
 def _pack_table(seq_len: int, exponents) -> np.ndarray:
-    """(B, 2, seq_len + 1) binary16: [b, sign, count] is the cell output at scale 2^exponents[b].
+    """(B, 3, seq_len + 1) binary16: [b, row, count] is the cell output at scale 2^exponents[b].
 
-    The binary16 cast rounds to nearest even, as shift_pack does; negating
-    a rounded value equals rounding the negated one.
+    Row 1 is the negative sign, rows 0 and 2 the positive one: a sign
+    offset is 0 or seq_len + 1 per operand, so their sum lands on row 2 for
+    two negative signs. Values round to nearest even, as shift_pack does,
+    and a negated value is the rounded one with its sign bit set.
     """
-    mag = np.ldexp(np.arange(seq_len + 1.0), np.asarray(exponents)[:, None])
+    exponents = np.asarray(exponents)
+    mag = np.ldexp(np.arange(seq_len + 1.0), exponents[:, None])
     np.minimum(mag, MAX_FINITE, out=mag)  # the output register latches at max finite
-    table = np.empty((mag.shape[0], 2, seq_len + 1), dtype=np.float16)
-    table[:, 0] = mag
-    np.negative(table[:, 0], out=table[:, 1])
+    if exponents.min() >= -24:  # every value is a multiple of 2^-24, so binary16 holds it exactly
+        bits = mag.astype(np.float16).view(np.uint16)
+    else:  # numpy's cast takes about 25x longer on a result that underflows: cast only normal
+        # values; a subnormal k * 2^-24 has bit pattern k, the value in units of 2^-24
+        normal = np.maximum(mag, MIN_NORMAL).astype(np.float16).view(np.uint16)
+        bits = np.where(mag < MIN_NORMAL, np.rint(np.ldexp(mag, 24)), normal).astype(np.uint16)
+    table = bits[:, None] | _SIGN_ROWS
     table[:, 1, 0] = 0  # empty overlap packs +0 either sign
-    return table
+    return table.view(np.float16)
 
 
-def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
+def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr, out=None):
     """The engine core: groups of checked jobs -> (entries per group, draws, scale exponents).
 
     Group g is a float16 (xs, deltas) pair, (B_g, n_x) and (B_g, n_d); seeds
     is (2, sum B_g), one column per job in group order. Entries are
-    (B_g, n_d, n_x) binary16. Every job runs the same path and has an
-    exponent; draws is 2 * seq_len per live job (both operands nonzero),
-    the hardware's count. A call with no live job returns zeros, 0 draws
-    and None for the exponents.
+    (B_g, n_d, n_x) binary16 values, in out[g] if out is given (a checked
+    float array per group), else in a new float16 array. Every job runs the
+    same path and has an exponent; draws is 2 * seq_len per live job (both
+    operands nonzero), the hardware's count. A call with no live job
+    returns zeros, 0 draws and None for the exponents.
     """
     # every group's x rows, then every group's delta rows: one segment per (side, job)
     operands = [group[side] for side in (0, 1) for group in groups]
@@ -218,21 +239,25 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
     mags = np.abs(flat).astype(np.float64)
     peaks = np.maximum.reduceat(mags, lengths.cumsum() - lengths).reshape(2, -1)
     live = peaks.all(axis=0)
-    out = [np.zeros((x.shape[0], d.shape[1], x.shape[1]), np.float16) for x, d in groups]
     draws = 2 * seq_len * int(np.count_nonzero(live))
+    if out is None:  # a live call packs every entry, a dead job's too
+        new = np.empty if draws else np.zeros
+        out = [new((x.shape[0], d.shape[1], x.shape[1]), np.float16) for x, d in groups]
+    elif not draws:
+        for entries in out:
+            entries[...] = 0
     if not draws:
         return out, 0, None
 
     # an all-zero side encodes to level 0 at any exponent; 2^-24 is binary16's least magnitude
     exps = ceil_exponents(np.maximum(peaks, MIN_SUBNORMAL))
     levels = encode_levels(mags, exps.reshape(-1).repeat(lengths))
-    # a sign bit's offset to the negative row of the table; a signed zero counts 0, which packs +0
+    # a sign bit's offset to the next row of the table; a signed zero counts 0, which packs +0
     flips = (flat.view(np.uint16) >> 15) * np.uint16(seq_len + 1)
     e_x, e_d = exps
     words = word_matrix(seeds.reshape(-1), seq_len).reshape(2, e_x.size, seq_len)
     exponents = scale_exponents(e_x, e_d, seq_len, lr)
     tables = _pack_table(seq_len, exponents)
-    table = tables.reshape(-1)
     # each operand's (levels, sign offsets) in its shape: the x sides, then the deltas
     coded = [(levels[e - v.size : e].reshape(v.shape), flips[e - v.size : e].reshape(v.shape))
              for v, e in zip(operands, itertools.accumulate(v.size for v in operands))]
@@ -241,19 +266,24 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
         rows = slice(first, first + len(level_x))
         first = rows.stop
         n_d, n_x = entries.shape[1:]
+        table = tables[rows].astype(entries.dtype, copy=False)  # binary16 is exact in any float
         if n_d * n_x > _TILE:  # a tile is a block of one job's delta row classes
-            _count_pack_prefixes(words[:, rows], level_x, level_d, flip_x, flip_d, tables[rows],
+            _count_pack_prefixes(words[:, rows], level_x, level_d, flip_x, flip_d, table,
                                  max(1, _TILE // n_x), entries)
             continue
-        tile_jobs = _TILE // (n_d * n_x)  # or a block of whole jobs
-        at = np.arange(2 * rows.start, 2 * rows.stop, 2)[:, None, None] * (seq_len + 1)
+        tile_jobs = max(1, min(_TILE // (n_d * n_x), len(level_x)))  # or a block of whole jobs
+        # each job's first entry in its tile's rows of the table, in the narrowest index that
+        # holds the tile's last entry
+        stride = 3 * (seq_len + 1)
+        width = np.uint16 if tile_jobs * stride <= 1 << 16 else np.uint32
+        base = np.arange(0, tile_jobs * stride, stride, dtype=width)[:, None]
         words_d = _stream_words(level_d[:, :, None] >= words[1, rows, None, :])
         words_x = _stream_words(level_x[:, :, None] >= words[0, rows, None, :])
-        for lo in range(0, len(at), tile_jobs):
+        for lo in range(0, len(level_x), tile_jobs):
             j = slice(lo, lo + tile_jobs)
-            # XOR of two offsets that are each 0 or seq_len + 1 is the XOR sign's offset
-            index = np.bitwise_xor(flip_d[j][:, :, None], flip_x[j][:, None, :])
-            _count_pack(words_d[:, j], words_x[:, j], index, table, at[j], out=entries[j])
+            # the sum of two sign offsets, each 0 or seq_len + 1, lands on the product sign's row
+            index = (flip_d[j] + base[: len(flip_d[j])])[:, :, None] + flip_x[j][:, None, :]
+            _count_pack(words_d[:, j], words_x[:, j], index, table[j].reshape(-1), out=entries[j])
     return out, draws, exponents
 
 
@@ -261,7 +291,8 @@ def _count_pack_prefixes(words, level_x, level_d, flip_x, flip_d, tables, tile_r
     """Count and pack one group's jobs by (prefix length, sign) class, events in delta word order.
 
     words is (2, B, seq_len), the jobs' x and delta words, tables their pack
-    tables and out their (B, n_d, n_x) entries; see the module docstring.
+    tables, in out's dtype, and out their (B, n_d, n_x) entries; see the
+    module docstring. A class reads only the first two rows of its table.
     """
     order = np.argsort(words[1], axis=1)
     sorted_x = np.take_along_axis(words[0], order, 1)[:, None]
@@ -277,7 +308,7 @@ def _count_pack_prefixes(words, level_x, level_d, flip_x, flip_d, tables, tile_r
         # delta rows of one (r_j, sign) class are equal: count one row per class, r_j ascending
         keys, inverse = np.unique(2 * ends + (flip_d[b] != 0), return_inverse=True)
         ends, signs = keys >> 1, keys & 1
-        rows = np.empty((len(keys), out.shape[-1]), dtype=np.float16)
+        rows = np.empty((len(keys), out.shape[-1]), dtype=out.dtype)
         # a tile is at most tile_rows classes whose prefixes end in one word
         # (word 0 for an empty prefix): it ANDs that word alone
         last = (np.maximum(ends, 1) - 1) // 64
@@ -294,14 +325,14 @@ def _count_pack_prefixes(words, level_x, level_d, flip_x, flip_d, tables, tile_r
         np.take(rows, inverse, axis=0, out=out[b], mode="clip")
 
 
-def _count_pack(words_d, words_x, index, table, at=None, out=None):
-    """Count and pack one tile of jobs into out, or a new array: (B, r, n_x) binary16 entries.
+def _count_pack(words_d, words_x, index, table, out=None):
+    """Count and pack one tile of jobs into out, or a new array: (B, r, n_x) entries from table.
 
     words_d is (W, B, r) and words_x (W, B, n_x) stream words. index is
-    (B, r, n_x) uint16, each entry's start in its job's pack table: the XOR
-    sign's offset (0 or seq_len + 1), plus any count before the words
-    passed; each word's count adds on, below 2^16 as seq_len <= 2048. at,
-    if given, is (B, 1, 1), each job's first entry in table.
+    (B, r, n_x) uint16 or uint32, each entry's start in table: its job's
+    first entry, the sign's row offset, plus any count before the words
+    passed; each word's count adds on, and the sum stays within the job's
+    rows of the table.
     """
     both = np.empty(index.shape, dtype=words_d.dtype)
     bytewise = both.itemsize == 2  # a 16-bit word is counted through its two bytes
@@ -316,8 +347,6 @@ def _count_pack(words_d, words_x, index, table, at=None, out=None):
             np.bitwise_count(both, out=ones)
         index += ones
     # pack: gather each entry from its job's rows of the table
-    if at is not None:
-        index = np.add(index, at)
     return np.take(table, index, out=out, mode="clip")  # "raise" buffers out
 
 
@@ -337,16 +366,26 @@ def outer_product_many(
     seeds_x: np.ndarray,
     seeds_delta: np.ndarray,
     lr: float | None = None,
+    out: np.ndarray | None = None,
 ):
     """Run B independent jobs in lockstep.
 
     xs is (B, n_x), deltas is (B, n_d); seeds are (B,) nonzero words with
     seeds_x[b] != seeds_delta[b]. Returns (entries, rng_draws) where entries
     is (B, n_d, n_x) float16, bit-identical per job to outer_product, and
-    rng_draws counts only non-short-circuited jobs.
+    rng_draws counts only non-short-circuited jobs. out, if given, is a
+    writable (B, n_d, n_x) float array that takes the entries' values
+    (binary16 is exact in every float dtype) and is returned as entries.
     """
     groups, seeds = _checked_groups([(xs, deltas)], seq_len, (seeds_x, seeds_delta), lr)
-    (entries,), draws, _ = _run_jobs(groups, seq_len, seeds, lr)
+    if out is not None:
+        (xs, deltas), = groups
+        shape = (len(xs), deltas.shape[1], xs.shape[1])
+        if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype.kind == "f"
+                and out.flags.writeable):
+            raise ContractError(f"out must be a writable {shape} float array")
+        out = [out]
+    (entries,), draws, _ = _run_jobs(groups, seq_len, seeds, lr, out)
     return entries, draws
 
 

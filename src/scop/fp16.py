@@ -25,6 +25,7 @@ EXP_BIAS = 15
 MAX_FINITE_BITS = 0x7BFF
 MAX_FINITE = 65504.0
 MIN_SUBNORMAL = 2.0 ** -24
+MIN_NORMAL = 2.0 ** -14
 ROUNDS_TO_INF = 65520.0  # the cast rounds from here up to inf: halfway from MAX_FINITE to 2^16
 
 

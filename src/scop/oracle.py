@@ -96,10 +96,10 @@ def empirical_stats(
     an integer from 2 to 2^31 - 1, the bound of the exactness argument below.
 
     Trials run and are summed in blocks of about _BLOCK entries, each block
-    deriving its own seed pairs (counters lo..hi-1). A block's entries are
-    copied into one float64 buffer, allocated once per call, then summed,
-    squared in place and summed again, so no block allocates a float64
-    array of its own. The block size cannot change a bit of the result:
+    deriving its own seed pairs (counters lo..hi-1). The engine packs a
+    block's entries straight into one float64 buffer, allocated once per
+    call, which is then summed, squared in place and summed again, so no
+    block allocates an entry array of its own. The block size cannot change a bit of the result:
     every trial shares x, delta and lr, so every entry packs at one
     scale 2^e, and each is k * q for q = 2^min(max(e, -24), 5) and an integer
     |k| <= 2048 (a subnormal rounds onto the 2^-24 grid, a saturated entry
@@ -125,9 +125,7 @@ def empirical_stats(
         seeds = derive_seed_pairs(base_seed_x, base_seed_delta, np.arange(lo, hi))
         xs = np.broadcast_to(x, (hi - lo, x.size))
         ds = np.broadcast_to(delta, (hi - lo, delta.size))
-        entries, _ = outer_product_many(xs, ds, seq_len, *seeds, lr)
-        e64 = buffer[: hi - lo]
-        np.copyto(e64, entries)
+        e64, _ = outer_product_many(xs, ds, seq_len, *seeds, lr, out=buffer[: hi - lo])
         total += e64.sum(axis=0)
         total_sq += np.multiply(e64, e64, out=e64).sum(axis=0)
 

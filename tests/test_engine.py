@@ -480,10 +480,18 @@ def test_batch_matches_scalar_cells(shape, seq_len, counter, lr, data):
 
 
 def test_pack_table_matches_shift_pack():
-    """Every count 0..MAX_SEQ_LEN, both signs, scale exponents -40..+20."""
-    exponents = np.arange(-40, 21)
+    """Every count 0..MAX_SEQ_LEN, both signs, scale exponents -60..+20; row 2 repeats row 0.
+
+    -59 is the scale of a dead job at MAX_SEQ_LEN, where every nonzero count underflows. A
+    table of exponents all at or above -24 casts every value, one with any below casts only
+    the normal ones: the table of all the exponents, and each one's alone, take both ways.
+    """
+    exponents = np.arange(-60, 21)
     table = _pack_table(MAX_SEQ_LEN, exponents).view(np.uint16)
-    assert table.shape == (exponents.size, 2, MAX_SEQ_LEN + 1)
+    assert table.shape == (exponents.size, 3, MAX_SEQ_LEN + 1)
+    assert np.array_equal(table[:, 2], table[:, 0])
+    each = np.concatenate([_pack_table(MAX_SEQ_LEN, [e]) for e in exponents])
+    assert np.array_equal(each.view(np.uint16), table)
     for b, e in enumerate(exponents):
         for sign in (0, 1):
             ref = [shift_pack(sign, c, int(e)).bits for c in range(MAX_SEQ_LEN + 1)]
@@ -1028,3 +1036,81 @@ def test_a_16_bit_word_counts_its_popcount_for_every_word():
     ones = np.array([[[0xFFFF]]], dtype=np.uint16)
     entries = engine._count_pack(ones, words[None, None], index, table)
     assert np.array_equal(entries[0, 0], np.bitwise_count(words) + start)
+
+
+def _out_case_whole_jobs():
+    rng = np.random.default_rng(31)
+    xs = rng.uniform(-1, 1, (9, 12)).astype(np.float16)
+    ds = rng.uniform(-1, 1, (9, 7)).astype(np.float16)
+    xs[4] = 0  # a dead job among live ones
+    return xs, ds, *derive_seed_pairs(5, 6, np.arange(9)), 0.05
+
+
+def _out_case_class_rows():
+    rng = np.random.default_rng(32)
+    xs = rng.uniform(-1, 1, (1, 300)).astype(np.float16)
+    ds = rng.uniform(-1, 1, (1, 200)).astype(np.float16)  # 60,000 entries: a job of row tiles
+    return xs, ds, *derive_seed_pairs(7, 8, np.arange(1)), None
+
+
+def _out_case_dead_call():
+    xs = np.zeros((3, 4), dtype=np.float16)
+    ds = np.ones((3, 5), dtype=np.float16)
+    return xs, ds, *derive_seed_pairs(9, 10, np.arange(3)), None
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float64])
+@pytest.mark.parametrize("case", [_out_case_whole_jobs, _out_case_class_rows, _out_case_dead_call],
+                         ids=lambda case: case.__name__.removeprefix("_out_case_"))
+def test_out_holds_the_default_calls_entries(monkeypatch, case, dtype):
+    """Every entry lands in out, in its dtype: a dead call's zeros too, and every class row."""
+    xs, ds, sx, sd, lr = case()
+    want, draws = outer_product_many(xs, ds, 64, sx, sd, lr)
+    out = np.full(want.shape, np.nan, dtype=dtype)  # an entry left unwritten stays NaN
+    dtypes = set()  # of every tile's table and output buffer
+    count_pack = engine._count_pack
+    monkeypatch.setattr(engine, "_count_pack", lambda *a, out: dtypes.update(
+        (a[3].dtype, out.dtype)) or count_pack(*a, out=out))
+    got, got_draws = outer_product_many(xs, ds, 64, sx, sd, lr, out=out)
+    assert got is out and got_draws == draws
+    assert dtypes == ({np.dtype(dtype)} if draws else set())
+    assert np.array_equal(out.astype(np.float16).view(np.uint16), want.view(np.uint16))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((2, 3, 5)),  # shape (2, 5, 3) is due
+    np.empty((2, 5, 3), dtype=np.int64),
+    _read_only(np.empty((2, 5, 3), dtype=np.float16)),
+    [[[0.0] * 3] * 5] * 2,  # not an array
+], ids=["shape", "integer", "read-only", "list"])
+def test_out_must_be_a_writable_float_array_of_the_entries_shape(out):
+    xs = np.full((2, 3), 0.5, dtype=np.float16)
+    ds = np.full((2, 5), 0.25, dtype=np.float16)
+    with pytest.raises(ContractError, match="out"):
+        outer_product_many(xs, ds, 16, [1, 3], [2, 4], out=out)
+
+
+def test_thousands_of_one_by_one_jobs_at_the_longest_stream_match_the_scalar_route(monkeypatch):
+    """3,000 jobs of 1 x 1 at MAX_SEQ_LEN: one tile, whose table index needs 32 bits."""
+    rng = np.random.default_rng(33)
+    jobs = 3000
+    xs = (rng.uniform(-1, 1, (jobs, 1)) * 2.0 ** rng.integers(-20, 4, (jobs, 1))).astype(np.float16)
+    ds = (rng.uniform(-1, 1, (jobs, 1)) * 2.0 ** rng.integers(-20, 4, (jobs, 1))).astype(np.float16)
+    xs[::50] = 0  # dead jobs
+    sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, np.arange(jobs))
+    widths = []
+    count_pack = engine._count_pack
+    monkeypatch.setattr(engine, "_count_pack",
+                        lambda *a, **k: widths.append(a[2].dtype) or count_pack(*a, **k))
+    got, draws = outer_product_many(xs, ds, MAX_SEQ_LEN, sx, sd, 0.05)
+    assert widths == [np.uint32]
+    assert draws == 2 * MAX_SEQ_LEN * np.count_nonzero((xs != 0) & (ds != 0))
+    assert ((xs < 0) & (ds < 0)).any()  # two negative signs read the table's third row
+    for k in [*range(0, jobs, 97), jobs - 2, jobs - 1]:  # the last jobs' indices pass 2^16
+        cell = _scalar_cell(xs[k], ds[k], 0, 0, MAX_SEQ_LEN, int(sx[k]), int(sd[k]), 0.05)
+        assert got[k, 0, 0].view(np.uint16) == cell, k
