@@ -9,10 +9,10 @@ A dead job, whose x or delta is all zeros, yields the zero matrix and, as
 the hardware short-circuits it, counts no draws. The core returns the draw
 count that every caller reports.
 
-Single jobs, batches, conv updates and a training step's layers (one group
-of same-shape jobs per layer) share one call check, _checked_groups (a job
-runs it when built), and one core with one path for every job. Once per
-call, over one flat array of every group's x rows and then delta rows, the
+Single jobs, batches and a training step's layers (one group of same-shape
+jobs per layer) share one call check, _checked_groups (a job runs it when
+built), and one core with one path for every job. Once per call, over one
+flat array of every group's x rows and then delta rows, the
 core finds each (side, job) peak, the live jobs (for the draw count), and
 every job's exponents, levels (encoder.encode_levels) and sign offsets,
 words, scales and pack table. Each group then compares its levels with its
@@ -167,7 +167,7 @@ class UpdateMatrix:
 
     entries: np.ndarray
     rng_draws: int
-    scale: int | None = None  # e of the job's scale 2^e; None for a dead job or a sum of jobs
+    scale: int | None = None  # e of the job's scale 2^e; None for a dead job
 
 
 # packed byte width of a stream row -> the one machine word that holds it
@@ -325,8 +325,8 @@ def _count_pack_prefixes(words, level_x, level_d, flip_x, flip_d, tables, tile_r
         np.take(rows, inverse, axis=0, out=out[b], mode="clip")
 
 
-def _count_pack(words_d, words_x, index, table, out=None):
-    """Count and pack one tile of jobs into out, or a new array: (B, r, n_x) entries from table.
+def _count_pack(words_d, words_x, index, table, out):
+    """Count and pack one tile of jobs into out: (B, r, n_x) entries from table.
 
     words_d is (W, B, r) and words_x (W, B, n_x) stream words. index is
     (B, r, n_x) uint16 or uint32, each entry's start in table: its job's
@@ -347,7 +347,7 @@ def _count_pack(words_d, words_x, index, table, out=None):
             np.bitwise_count(both, out=ones)
         index += ones
     # pack: gather each entry from its job's rows of the table
-    return np.take(table, index, out=out, mode="clip")  # "raise" buffers out
+    np.take(table, index, out=out, mode="clip")  # "raise" buffers out
 
 
 def outer_product(job: OuterProductJob) -> UpdateMatrix:
@@ -498,29 +498,6 @@ def _seed_words(z: np.ndarray) -> np.ndarray:
     seeds = (z & np.uint64(0xFFFF)).astype(np.uint16)
     seeds[seeds == 0] = _SEED_FALLBACK
     return seeds
-
-
-def conv_weight_update(
-    activations: np.ndarray,
-    gradients: np.ndarray,
-    seq_len: int,
-    base_seed_x: int,
-    base_seed_delta: int,
-    lr: float | None = None,
-) -> UpdateMatrix:
-    """Shared-kernel update: one job per spatial position, accumulated in fp16.
-
-    activations is (positions, k) of unrolled patch vectors, gradients is
-    (positions, c) of output-channel errors; the result is the (c, k) kernel
-    update, the sum_updates of the positions' jobs. Seeds derive from the
-    position index so positions decorrelate.
-    """
-    positions = len(activations)
-    if positions == 0:
-        raise DomainError("need at least one position")
-    seeds = derive_seed_pairs(base_seed_x, base_seed_delta, np.arange(positions))
-    entries, draws = outer_product_many(activations, gradients, seq_len, *seeds, lr)
-    return UpdateMatrix(sum_updates(entries), draws, None)
 
 
 def sum_updates(entries: np.ndarray) -> np.ndarray:

@@ -69,7 +69,7 @@ def _read(path: str, rank: int) -> np.ndarray:
             payload = fh.read()
             nbytes = 2 * math.prod(shape)
             if len(payload) != nbytes:
-                raise DomainError(f"payload truncated: expected {nbytes} bytes")
+                raise DomainError(f"{path}: payload is {len(payload)} bytes, expected {nbytes}")
             flat = np.frombuffer(payload, dtype="<u2").view("<f2").astype(np.float16)
             return flat.reshape(shape)
         if head == other_magic:

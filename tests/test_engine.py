@@ -18,12 +18,12 @@ from scop.engine import (
     UpdateMatrix,
     apply_update,
     check_seed_pairs,
-    conv_weight_update,
     derive_seed_pair,
     derive_seed_pairs,
     outer_product,
     outer_product_groups,
     outer_product_many,
+    sum_updates,
     _pack_table,
 )
 from scop.errors import ContractError, DomainError, SeedError
@@ -383,29 +383,6 @@ def test_derive_seed_pairs_returns_the_seed_array_the_engine_takes(bases):
     assert np.array_equal(pairs, check_seed_pairs(*pairs))  # a rehashed delta row lands in pairs
 
 
-def test_conv_weight_update_accumulates_positions():
-    rng = np.random.default_rng(3)
-    acts = rng.uniform(-1, 1, (4, 5)).astype(np.float16)
-    grads = rng.uniform(-1, 1, (4, 2)).astype(np.float16)
-    out = conv_weight_update(acts, grads, 16, 0xACE1, 0x2C9F)
-    assert out.entries.shape == (2, 5)
-    assert out.rng_draws == 4 * 2 * 16
-
-    acc = np.zeros((2, 5), dtype=np.float16)
-    for p in range(4):
-        sx, sd = derive_seed_pair(0xACE1, 0x2C9F, p)
-        ref = outer_product(OuterProductJob(acts[p], grads[p], 16, sx, sd))
-        acc = (acc + ref.entries).astype(np.float16)
-    assert np.array_equal(out.entries.view(np.uint16), acc.view(np.uint16))
-
-
-def test_conv_weight_update_validation():
-    a = np.zeros((2, 3), dtype=np.float16)
-    g = np.zeros((3, 2), dtype=np.float16)
-    with pytest.raises(ContractError):
-        conv_weight_update(a, g, 16, 0xACE1, 0x2C9F)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**40), st.integers(min_value=1, max_value=0xFFFF))
 def test_derive_seed_always_valid(counter, base):
@@ -566,19 +543,6 @@ def test_derive_seed_counts_only_the_low_48_counter_bits():
     assert (int(sx[0]), int(sd[0])) == derive_seed_pair(0xACE1, 0x2C9F, 9)
 
 
-def test_conv_weight_update_with_a_zero_position_and_folded_lr():
-    acts = np.array([[0.5, -0.25], [0.0, 0.0], [0.125, 1.0]], dtype=np.float16)
-    grads = np.array([[0.25], [0.5], [-0.75]], dtype=np.float16)
-    out = conv_weight_update(acts, grads, 24, 0x1111, 0x2222, lr=0.05)
-    assert out.rng_draws == 2 * 2 * 24  # the all-zero position draws nothing
-    acc = np.zeros((1, 2), dtype=np.float16)
-    for p in range(3):
-        sx, sd = derive_seed_pair(0x1111, 0x2222, p)
-        ref = outer_product(OuterProductJob(acts[p], grads[p], 24, sx, sd, lr=0.05))
-        acc = (acc + ref.entries).astype(np.float16)
-    assert np.array_equal(out.entries.view(np.uint16), acc.view(np.uint16))
-
-
 def test_groups_check_their_seed_pairs_every_call():
     x = np.array([[0.5, -0.25, 0.75]], dtype=np.float16)
     with pytest.raises(DomainError, match="must differ") as err:
@@ -602,8 +566,7 @@ def test_batch_and_groups_share_one_seed_count_check():
 
 
 @pytest.mark.parametrize("entry", [
-    "OuterProductJob", "outer_product_many", "outer_product_groups", "conv_weight_update",
-    "train",
+    "OuterProductJob", "outer_product_many", "outer_product_groups", "train",
 ])
 def test_each_entry_point_checks_its_seed_pairs_once_per_call(monkeypatch, entry):
     calls = []
@@ -625,7 +588,6 @@ def test_each_entry_point_checks_its_seed_pairs_once_per_call(monkeypatch, entry
         "outer_product_groups": (lambda: outer_product_groups(  # once checked apart from it
             [(xs, xs), (xs[:1], xs[:1, :1])], 16, [[1, 3, 5], [2, 4, 6]]
         ), 1),
-        "conv_weight_update": (lambda: conv_weight_update(xs, xs, 16, 1, 2), 1),
         "train": (lambda: train(fit), 4),  # one check per step, none more per epoch
     }[entry]
     run()
@@ -681,16 +643,15 @@ def test_a_dead_group_before_live_groups(lr):
         lo = hi
 
 
-def test_conv_weight_update_sums_from_positive_zero():
-    """A negative cell that underflows packs -0; the position sum starts from +0."""
+def test_sum_updates_sums_from_positive_zero():
+    """A negative cell that underflows packs -0; the batch sum starts from +0."""
     acts = np.array([[2.0**-14], [2.0**-14]], dtype=np.float16)
     grads = np.array([[-2.0**-14], [-2.0**-14]], dtype=np.float16)
     sx, sd = derive_seed_pairs(1, 2, np.arange(2))
     entries, _ = outer_product_many(acts, grads, 16, sx, sd)
     assert entries.view(np.uint16).tolist() == [[[0x8000]], [[0x8000]]]
-    for positions in (1, 2):
-        out = conv_weight_update(acts[:positions], grads[:positions], 16, 1, 2)
-        assert out.entries.view(np.uint16).tolist() == [[0x0000]]
+    for jobs in (1, 2):
+        assert sum_updates(entries[:jobs]).view(np.uint16).tolist() == [[0x0000]]
 
 
 @pytest.mark.parametrize("bad", [0, 1.5], ids=repr)
@@ -1034,7 +995,8 @@ def test_a_16_bit_word_counts_its_popcount_for_every_word():
     index = np.full((1, 1, words.size), start, dtype=np.uint16)
     table = np.arange(34, dtype=np.float16)  # reads each entry back as its table index
     ones = np.array([[[0xFFFF]]], dtype=np.uint16)
-    entries = engine._count_pack(ones, words[None, None], index, table)
+    entries = np.empty(index.shape, dtype=np.float16)
+    engine._count_pack(ones, words[None, None], index, table, entries)
     assert np.array_equal(entries[0, 0], np.bitwise_count(words) + start)
 
 

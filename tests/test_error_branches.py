@@ -5,7 +5,7 @@ import pytest
 
 from scop.datasets import load_digits_csv
 from scop.encoder import encode_with_words
-from scop.engine import apply_update, check_seed_pairs, conv_weight_update
+from scop.engine import apply_update, check_seed_pairs
 from scop.errors import ContractError, DomainError
 from scop.oracle import effective_probability, enumerate_unit_cell, exact_outer
 
@@ -24,9 +24,6 @@ CASES = {
     "apply_update.velocity_shape": (
         lambda _: apply_update(np.zeros(2), np.zeros(2), 0.1, 0.9, np.zeros(3)),
         ContractError, "velocity shape mismatch"),
-    "conv_weight_update.no_positions": (
-        lambda _: conv_weight_update(np.zeros((0, 2)), np.zeros((0, 2)), 16, 1, 2),
-        DomainError, "need at least one position"),
     "exact_outer.matrix": (
         lambda _: exact_outer(np.ones((2, 2)), np.ones(2)),
         ContractError, "x and delta must be 1-D vectors"),

@@ -79,6 +79,14 @@ def test_truncated_binary_rejected(tmp_path):
         read_vector(path)
 
 
+def test_trailing_bytes_rejected_with_both_lengths(tmp_path):
+    path = tmp_path / "v.bin"
+    write_vector(str(path), [1.0, -2.0], "bin")
+    path.write_bytes(path.read_bytes() + b"\x00\x00")
+    with pytest.raises(DomainError, match="payload is 6 bytes, expected 4$"):
+        read_vector(str(path))  # once "payload truncated: expected 4 bytes"
+
+
 def test_wrong_container_rejected(tmp_path):
     vpath = str(tmp_path / "v.bin")
     mpath = str(tmp_path / "m.bin")

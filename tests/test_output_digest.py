@@ -1,6 +1,6 @@
 """One digest over the engine's output bits, draw counts and scale exponents.
 
-A fixed sweep of single jobs, batches, a conv update and an empirical_stats
+A fixed sweep of single jobs, batches, a summed batch and an empirical_stats
 call is hashed with SHA-256. Any change to one output bit changes the
 digest. Operands come from LFSR words, not np.random, so the digest does not
 depend on numpy's generator streams.
@@ -12,10 +12,10 @@ import numpy as np
 
 from scop.engine import (
     OuterProductJob,
-    conv_weight_update,
     derive_seed_pairs,
     outer_product,
     outer_product_many,
+    sum_updates,
 )
 from scop.lfsr import word_matrix
 from scop.oracle import empirical_stats
@@ -62,8 +62,10 @@ def _sweep(h) -> None:
 
     acts = _operands(seed, (6, 9), 1)
     grads = _operands(seed + 1, (6, 4), 0)
-    update = conv_weight_update(acts, grads, 65, 0x1234, 0x4321, 0.1)
-    add(update.entries, update.rng_draws)
+    entries, draws = outer_product_many(
+        acts, grads, 65, *derive_seed_pairs(0x1234, 0x4321, np.arange(6)), 0.1
+    )
+    add(sum_updates(entries), draws)
 
     stats = empirical_stats(_operands(seed + 2, (8,)), _operands(seed + 3, (6,)), 16, 50)
     h.update(stats.mean.tobytes() + stats.variance.tobytes())

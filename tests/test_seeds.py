@@ -5,7 +5,6 @@ import pytest
 
 from scop.engine import (
     OuterProductJob,
-    conv_weight_update,
     derive_seed_pair,
     derive_seed_pairs,
     outer_product,
@@ -55,9 +54,6 @@ ENTRY_POINTS = {
     "derive_seed_pairs.base_delta": lambda s: [
         a.tolist() for a in derive_seed_pairs(OTHER, s, np.arange(8))
     ],
-    "conv_weight_update": lambda s: _bits(
-        conv_weight_update(np.stack([X, X]), np.stack([D, -D]), 16, s, OTHER).entries
-    ),
     "empirical_stats": lambda s: empirical_stats(X, D, 16, 8, s, OTHER).mean.tolist(),
     "TrainingConfig.seed_sc": _train,
 }
