@@ -12,12 +12,14 @@ count that every caller reports.
 Single jobs, batches and a training step's layers (one group of same-shape
 jobs per layer) share one call check, _checked_groups (a job runs it when
 built), and one core with one path for every job. Once per call, over one
-flat array of every group's x rows and then delta rows, the
-core finds each (side, job) peak, the live jobs (for the draw count), and
-every job's exponents, levels (encoder.encode_levels) and sign offsets,
-words, scales and pack table. Each group then compares its levels with its
-jobs' words, and counts and packs its entries (a dead job's all-zero side
-encodes to level 0, so each of its counts is 0, which packs +0):
+flat array of every group's x rows and then delta rows, the core finds each
+(side, job) peak, the live jobs (for the draw count), and every job's
+exponents, levels (encoder.encode_levels) and sign offsets, words, scales
+and pack table; a group of one x row and delta row broadcast over its jobs
+(stride 0: each empirical_stats block) is checked and encoded once, with one
+table and start index. Each group then compares its levels with its jobs'
+words, and counts and packs its entries (a dead job's all-zero side encodes
+to level 0, so each of its counts is 0, which packs +0):
 
 * count: each row of stream bits is packed into machine words (np.packbits;
   one uint8/16/32/64 word when the row fills 1, 2, 4 or 8 bytes, else
@@ -31,15 +33,15 @@ encodes to level 0, so each of its counts is 0, which packs +0):
   positive. Each operand element carries a sign offset, 0 or seq_len + 1,
   so the sum of an entry's two offsets is its product sign's row (two
   negatives land on the third row). Count 0 packs +0 for either sign. A
-  whole-job tile builds every entry's gather index with one add of the
+  whole-job tile builds every entry's start index with one add of the
   delta offset plus its job's first entry in the tile's rows of the table
   to the x offset, in uint16 while the tile's table has at most 2^16
-  entries, else uint32; each word's count then adds on in place.
+  entries, else uint32; each word's count then adds on.
 
 Count and pack run one tile of about _TILE entries at a time: a block of
 whole jobs, or of one job's delta row classes. Their per-entry temporaries
-(the AND word, its popcount, the gather index and the intp copy np.take
-makes of it, up to 21 bytes an entry) then stay in cache rather than
+(the AND word, its popcount, the start and gather indexes and the intp
+copy np.take makes, up to 25 bytes an entry) then stay in cache rather than
 stream through memory at the size of the whole update. A tile writes
 straight into its slice of the output (a class tile, below, into its
 compact buffer). The output is new binary16 or a caller's float array
@@ -86,7 +88,7 @@ import numpy as np
 from .encoder import check_seq_len, encode_levels
 from .errors import ContractError, DomainError, is_int
 from .fp16 import (
-    MAX_FINITE, MIN_NORMAL, MIN_SUBNORMAL, ROUNDS_TO_INF, SIGN_MASK, ceil_exponents,
+    MAX_FINITE, MIN_NORMAL, MIN_SUBNORMAL, ROUNDS_TO_INF, SIGN_MASK, as_binary16, ceil_exponents,
 )
 from .lfsr import check_seeds, word_matrix
 from .unit_cell import scale_exponents
@@ -114,8 +116,8 @@ class OuterProductJob:
     lr: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float16))
-        object.__setattr__(self, "delta", np.asarray(self.delta, dtype=np.float16))
+        object.__setattr__(self, "x", as_binary16(self.x, "x"))
+        object.__setattr__(self, "delta", as_binary16(self.delta, "delta"))
         if self.x.ndim != 1 or self.delta.ndim != 1:
             raise ContractError("x and delta must be 1-D vectors")
         _checked_groups([(self.x[None], self.delta[None])], self.seq_len,
@@ -144,13 +146,13 @@ def _checked_groups(groups, seq_len, seeds, lr):
     seeds = check_seed_pairs(seeds_x, seeds_delta)
     checked = []
     for xs, deltas in groups:
-        xs = np.asarray(xs, dtype=np.float16)
-        deltas = np.asarray(deltas, dtype=np.float16)
+        xs, deltas = as_binary16(xs, "x"), as_binary16(deltas, "delta")
         if xs.ndim != 2 or deltas.ndim != 2 or xs.shape[0] != deltas.shape[0]:
             raise ContractError("xs and deltas must be 2-D with matching batch size")
         if xs.shape[1] == 0 or deltas.shape[1] == 0:
             raise DomainError("x and delta must be nonempty vectors")
-        if not (np.isfinite(xs).all() and np.isfinite(deltas).all()):
+        row_x, row_d = _encoded_rows(xs, deltas)
+        if not (np.isfinite(row_x).all() and np.isfinite(row_d).all()):
             raise DomainError("x and delta entries must be finite")
         checked.append((xs, deltas))
     if not checked or seeds.shape[1] != sum(xs.shape[0] for xs, _ in checked):
@@ -159,6 +161,11 @@ def _checked_groups(groups, seq_len, seeds, lr):
     if lr is not None and not (math.isfinite(lr) and lr > 0):
         raise DomainError("lr must be finite and positive")
     return checked, seeds
+
+
+def _encoded_rows(xs, deltas):
+    """A group's rows to encode: one x row and delta row if both are broadcast (stride 0)."""
+    return (xs[:1], deltas[:1]) if xs.strides[0] == 0 == deltas.strides[0] else (xs, deltas)
 
 
 @dataclass(frozen=True)
@@ -228,17 +235,20 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr, out=None):
     is (2, sum B_g), one column per job in group order. Entries are
     (B_g, n_d, n_x) binary16 values, in out[g] if out is given (a checked
     float array per group), else in a new float16 array. Every job runs the
-    same path and has an exponent; draws is 2 * seq_len per live job (both
-    operands nonzero), the hardware's count. A call with no live job
-    returns zeros, 0 draws and None for the exponents.
+    same path; draws is 2 * seq_len per live job (both operands nonzero),
+    the hardware's count. Each encoded row pair (_encoded_rows) has an
+    exponent; a call with no live job returns zeros, 0 draws and None.
     """
-    # every group's x rows, then every group's delta rows: one segment per (side, job)
-    operands = [group[side] for side in (0, 1) for group in groups]
+    encoded = [_encoded_rows(xs, deltas) for xs, deltas in groups]
+    # every group's x rows, then every group's delta rows: one segment per (side, row)
+    operands = [group[side] for side in (0, 1) for group in encoded]
     flat = np.concatenate([v.reshape(-1) for v in operands])
     lengths = np.array([v.shape[1] for v in operands]).repeat([len(v) for v in operands])
     mags = np.abs(flat).astype(np.float64)
     peaks = np.maximum.reduceat(mags, lengths.cumsum() - lengths).reshape(2, -1)
     live = peaks.all(axis=0)
+    if live.size < seeds.shape[1]:  # a broadcast group's row pair is live for each of its jobs
+        live = live.repeat([len(g[0]) // len(x) for g, (x, _) in zip(groups, encoded) for _ in x])
     draws = 2 * seq_len * int(np.count_nonzero(live))
     if out is None:  # a live call packs every entry, a dead job's too
         new = np.empty if draws else np.zeros
@@ -254,36 +264,41 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr, out=None):
     levels = encode_levels(mags, exps.reshape(-1).repeat(lengths))
     # a sign bit's offset to the next row of the table; a signed zero counts 0, which packs +0
     flips = (flat.view(np.uint16) >> 15) * np.uint16(seq_len + 1)
-    e_x, e_d = exps
-    words = word_matrix(seeds.reshape(-1), seq_len).reshape(2, e_x.size, seq_len)
-    exponents = scale_exponents(e_x, e_d, seq_len, lr)
+    words = word_matrix(seeds.reshape(-1), seq_len).reshape(2, -1, seq_len)
+    exponents = scale_exponents(*exps, seq_len, lr)
     tables = _pack_table(seq_len, exponents)
     # each operand's (levels, sign offsets) in its shape: the x sides, then the deltas
     coded = [(levels[e - v.size : e].reshape(v.shape), flips[e - v.size : e].reshape(v.shape))
              for v, e in zip(operands, itertools.accumulate(v.size for v in operands))]
-    first = 0  # the group's first job
+    first = row = 0  # the group's first job, and its first encoded row
     for entries, (level_x, flip_x), (level_d, flip_d) in zip(out, coded, coded[len(out):]):
-        rows = slice(first, first + len(level_x))
-        first = rows.stop
+        jobs = slice(first, first + len(entries))
+        rows = slice(row, row + len(level_x))
+        first, row = jobs.stop, rows.stop
         n_d, n_x = entries.shape[1:]
         table = tables[rows].astype(entries.dtype, copy=False)  # binary16 is exact in any float
         if n_d * n_x > _TILE:  # a tile is a block of one job's delta row classes
-            _count_pack_prefixes(words[:, rows], level_x, level_d, flip_x, flip_d, table,
+            if len(level_x) < len(entries):  # a broadcast group: each job reads the one row
+                level_x, level_d, flip_x, flip_d, table = (np.broadcast_to(a, (
+                    len(entries), *a.shape[1:])) for a in (level_x, level_d, flip_x, flip_d, table))
+            _count_pack_prefixes(words[:, jobs], level_x, level_d, flip_x, flip_d, table,
                                  max(1, _TILE // n_x), entries)
             continue
-        tile_jobs = max(1, min(_TILE // (n_d * n_x), len(level_x)))  # or a block of whole jobs
+        tile_jobs = max(1, min(_TILE // (n_d * n_x), len(entries)))  # or a block of whole jobs
         # each job's first entry in its tile's rows of the table, in the narrowest index that
-        # holds the tile's last entry
-        stride = 3 * (seq_len + 1)
-        width = np.uint16 if tile_jobs * stride <= 1 << 16 else np.uint32
-        base = np.arange(0, tile_jobs * stride, stride, dtype=width)[:, None]
-        words_d = _stream_words(level_d[:, :, None] >= words[1, rows, None, :])
-        words_x = _stream_words(level_x[:, :, None] >= words[0, rows, None, :])
-        for lo in range(0, len(level_x), tile_jobs):
+        # holds the tile's last entry; a broadcast group's tiles read its one table
+        size = table[:tile_jobs].size
+        width = np.uint16 if size <= 1 << 16 else np.uint32
+        base = np.arange(0, size, 3 * (seq_len + 1), dtype=width)[:, None]
+        words_d = _stream_words(level_d[:, :, None] >= words[1, jobs, None, :])
+        words_x = _stream_words(level_x[:, :, None] >= words[0, jobs, None, :])
+        for lo in range(0, len(entries), tile_jobs):
             j = slice(lo, lo + tile_jobs)
-            # the sum of two sign offsets, each 0 or seq_len + 1, lands on the product sign's row
-            index = (flip_d[j] + base[: len(flip_d[j])])[:, :, None] + flip_x[j][:, None, :]
-            _count_pack(words_d[:, j], words_x[:, j], index, table[j].reshape(-1), out=entries[j])
+            if lo == 0 or len(level_x) > 1:  # a broadcast group builds one start index
+                # the sum of two sign offsets, each 0 or seq_len + 1, lands on the sign's row
+                start = (flip_d[j] + base[: len(flip_d[j])])[:, :, None] + flip_x[j][:, None, :]
+                tile_table = table[j].reshape(-1)
+            _count_pack(words_d[:, j], words_x[:, j], start, tile_table, out=entries[j])
     return out, draws, exponents
 
 
@@ -325,18 +340,19 @@ def _count_pack_prefixes(words, level_x, level_d, flip_x, flip_d, tables, tile_r
         np.take(rows, inverse, axis=0, out=out[b], mode="clip")
 
 
-def _count_pack(words_d, words_x, index, table, out):
+def _count_pack(words_d, words_x, start, table, out):
     """Count and pack one tile of jobs into out: (B, r, n_x) entries from table.
 
-    words_d is (W, B, r) and words_x (W, B, n_x) stream words. index is
-    (B, r, n_x) uint16 or uint32, each entry's start in table: its job's
-    first entry, the sign's row offset, plus any count before the words
-    passed; each word's count adds on, and the sum stays within the job's
-    rows of the table.
+    words_d is (W, B, r) and words_x (W, B, n_x) stream words. start, uint16
+    or uint32 and broadcast to out's shape, is each entry's start in table:
+    its job's first entry, the sign's row offset, plus any count before the
+    words passed. Each word's count adds on (the first word's onto a copy of
+    start), and the sum stays within the job's rows of the table.
     """
-    both = np.empty(index.shape, dtype=words_d.dtype)
+    both = np.empty(out.shape, dtype=words_d.dtype)
     bytewise = both.itemsize == 2  # a 16-bit word is counted through its two bytes
-    ones = np.empty(index.shape, dtype=np.uint16 if bytewise else np.uint8)
+    ones = np.empty(out.shape, dtype=np.uint16 if bytewise else np.uint8)
+    index = start
     for wd, wx in zip(words_d, words_x):  # count: AND + popcount per stream word
         np.bitwise_and(wd[:, :, None], wx[:, None, :], out=both)
         if bytewise:  # the bytes' counts a + 256 b; * 257 puts a + b in the high byte
@@ -345,7 +361,7 @@ def _count_pack(words_d, words_x, index, table, out):
             ones >>= np.uint16(8)
         else:
             np.bitwise_count(both, out=ones)
-        index += ones
+        index = index + ones if index is start else np.add(index, ones, out=index)
     # pack: gather each entry from its job's rows of the table
     np.take(table, index, out=out, mode="clip")  # "raise" buffers out
 
@@ -430,12 +446,12 @@ def apply_update(
     (step_factors). lr None means the engine folded it into the update's
     scale, so no multiply happens here. Returns (new_weights, new_velocity).
     """
-    dw = np.asarray(update, dtype=np.float16)
-    w = np.asarray(weights, dtype=np.float16)
+    dw = as_binary16(update, "update")
+    w = as_binary16(weights, "weights")
     if w.shape != dw.shape:
         raise ContractError(f"shape mismatch: weights {w.shape} vs update {dw.shape}")
     lr, momentum = step_factors(lr, momentum)
-    v = np.zeros_like(w) if velocity is None else np.asarray(velocity, dtype=np.float16)
+    v = np.zeros_like(w) if velocity is None else as_binary16(velocity, "velocity")
     if v.shape != w.shape:
         raise ContractError("velocity shape mismatch")
     v = momentum * v + dw
@@ -505,4 +521,6 @@ def sum_updates(entries: np.ndarray) -> np.ndarray:
 
     Not np.sum: it may reorder, and on 1 x 1 updates it adds in float32 and rounds once.
     """
+    if not len(entries):  # an empty batch sums to +0
+        return np.zeros(np.shape(entries)[1:], dtype=np.float16)
     return np.add.accumulate(entries, axis=0)[-1] + np.float16(0)

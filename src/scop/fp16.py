@@ -45,6 +45,18 @@ def decode_bits(bits: int) -> float:
     return sign * math.ldexp(1024 + m, e - 25)
 
 
+def as_binary16(values, name: str) -> np.ndarray:
+    """values as float16 (a float16 array as it is), refusing a finite value the cast makes inf."""
+    values = np.asarray(values)
+    if values.dtype == np.float16:
+        return values
+    mags = np.abs(values.astype(np.float64))
+    beyond = values[(mags >= ROUNDS_TO_INF) & (mags < math.inf)]  # NaN and inf pass on
+    if beyond.size:  # else numpy's cast would warn, and the inf be refused as non-finite
+        raise DomainError(f"{name}: {float(beyond[0])!r} is beyond binary16's range")
+    return values.astype(np.float16)
+
+
 def _positive_finite(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if not 0.0 < v.min() <= v.max() < math.inf:  # NaN fails every compare

@@ -30,7 +30,7 @@ import numpy as np
 from .encoder import check_seq_len, probability_of
 from .engine import derive_seed_pairs, outer_product_many
 from .errors import ContractError, DomainError, is_int
-from .fp16 import SIGN_MASK, decode_bits
+from .fp16 import SIGN_MASK, as_binary16, decode_bits
 from .unit_cell import f_scale, scale_exponents
 
 # update entries per empirical_stats block: its float64 sums stay in cache
@@ -106,12 +106,12 @@ def empirical_stats(
     latches at 65504 = 2047 * 2^5). A partial sum of entries is then q, and
     one of their squares q^2, times an integer below 2^53 for fewer than
     2^31 trials. float64 holds each such sum exactly, so every order of
-    adding gives the same bits.
+    adding gives the same bits. A block is one engine group, x and delta
+    broadcast over its trials, so the engine encodes it once.
     """
     if not (is_int(trials, 2) and trials < _MAX_TRIALS):
         raise DomainError(f"trials must be an integer from 2 to 2^31 - 1, got {trials}")
-    x = np.asarray(x, dtype=np.float16)
-    delta = np.asarray(delta, dtype=np.float16)
+    x, delta = as_binary16(x, "x"), as_binary16(delta, "delta")
     if x.ndim != 1 or delta.ndim != 1:
         raise ContractError("x and delta must be 1-D vectors")
 

@@ -509,6 +509,91 @@ def test_batch_of_broadcast_operands_matches_contiguous_copies():
     assert draws_a == draws_b == 2 * 16 * 50
 
 
+def _broadcast_case(seed, jobs, n_x, n_d, seq_len, lr, zero=None):
+    """jobs trials of one (x, delta) row pair; zero is "x" (a dead row pair) or "signs"."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, n_x).astype(np.float16)
+    d = rng.uniform(-2, 2, n_d).astype(np.float16)
+    if zero == "x":
+        x[:] = 0
+    elif zero == "signs":  # +0 and -0 on both sides, among live values
+        x[::3], x[1::7], d[::4], d[2::5] = 0.0, -0.0, -0.0, 0.0
+    return x, d, jobs, seq_len, lr
+
+
+_BROADCAST_CASES = {
+    "whole jobs": _broadcast_case(21, 50, 24, 12, 16, 0.1),
+    "whole jobs over many tiles": _broadcast_case(22, 17, 64, 64, 16, None),  # 3 tiles of 8 jobs
+    "class rows": _broadcast_case(23, 2, 256, 256, 256, 0.05),  # each job tiled by its rows
+    "dead row pair": _broadcast_case(24, 9, 8, 5, 16, 0.1, zero="x"),
+    "signed zeros": _broadcast_case(25, 12, 40, 30, 33, None, zero="signs"),
+    "signed zeros, class rows": _broadcast_case(26, 3, 300, 200, 70, 0.1, zero="signs"),
+}
+
+
+@pytest.mark.parametrize("dtype", [None, np.float16, np.float32, np.float64], ids=str)
+@pytest.mark.parametrize("case", _BROADCAST_CASES)
+def test_broadcast_rows_match_contiguous_copies_in_every_layout(case, dtype):
+    """A group of one broadcast row pair is encoded once; entries, bits and draws are a copy's.
+
+    Each case also runs with only one side broadcast, which takes the path of a batch.
+    """
+    x, d, jobs, seq_len, lr = _BROADCAST_CASES[case]
+    sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, np.arange(jobs))
+    views = (np.broadcast_to(x, (jobs, x.size)), np.broadcast_to(d, (jobs, d.size)))
+    copies = (np.tile(x, (jobs, 1)), np.tile(d, (jobs, 1)))
+    want, want_draws = outer_product_many(*copies, seq_len, sx, sd, lr)
+    assert want_draws == (2 * seq_len * jobs if x.any() and d.any() else 0)
+    for operands in (views, (views[0], copies[1]), (copies[0], views[1])):
+        out = None if dtype is None else np.full(want.shape, np.nan, dtype=dtype)
+        got, draws = outer_product_many(*operands, seq_len, sx, sd, lr, out=out)
+        assert draws == want_draws
+        assert got.dtype == (dtype or np.float16)
+        assert np.array_equal(got.astype(np.float16).view(np.uint16), want.view(np.uint16))
+    if not want_draws:  # a dead row pair packs +0 in every entry
+        assert not want.view(np.uint16).any()
+
+
+def test_a_broadcast_group_has_one_table_and_one_start_index(monkeypatch):
+    """Its one row pair is encoded once: one exponent, and one start index for every tile."""
+    exponents, starts = [], []
+    pack_table, count_pack = engine._pack_table, engine._count_pack
+    monkeypatch.setattr(engine, "_pack_table", lambda m, e: exponents.append(np.size(e))
+                        or pack_table(m, e))
+    monkeypatch.setattr(engine, "_count_pack", lambda *a, out: starts.append(a[2])
+                        or count_pack(*a, out=out))
+    x, d, jobs, seq_len, lr = _BROADCAST_CASES["whole jobs over many tiles"]
+    views = (np.broadcast_to(x, (jobs, x.size)), np.broadcast_to(d, (jobs, d.size)))
+    outer_product_many(*views, seq_len, *derive_seed_pairs(1, 2, np.arange(jobs)), lr)
+    assert exponents == [1]
+    assert len(starts) == 3 and all(start is starts[0] for start in starts)
+    assert starts[0].shape == (1, d.size, x.size)
+
+
+def test_a_call_with_a_broadcast_group_makes_each_per_call_pass_once(monkeypatch):
+    """A broadcast group joins the call's one pass; the other groups keep an exponent per job."""
+    calls = {}
+    for name in ("ceil_exponents", "encode_levels", "word_matrix", "_pack_table"):
+        fn = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, fn=fn, name=name:
+                            calls.setdefault(name, []).append(a) or fn(*a))
+    rng = np.random.default_rng(8)
+    groups = [(rng.uniform(-1, 1, (4, n_x)).astype(np.float16),
+               rng.uniform(-1, 1, (4, n_d)).astype(np.float16))
+              for n_x, n_d in ((2, 9), (9, 5))]
+    x, d = rng.uniform(-1, 1, 7).astype(np.float16), rng.uniform(-1, 1, 3).astype(np.float16)
+    groups.insert(1, (np.broadcast_to(x, (6, 7)), np.broadcast_to(d, (6, 3))))
+    seeds = check_seed_pairs(*derive_seed_pairs(3, 4, np.arange(14)))
+    out = engine.outer_product_groups(groups, 16, seeds)
+    assert sorted(calls) == ["_pack_table", "ceil_exponents", "encode_levels", "word_matrix"]
+    assert all(len(args) == 1 for args in calls.values())
+    (_, exponents), = calls["_pack_table"]
+    assert exponents.shape == (4 + 1 + 4,)  # one for the broadcast group's six jobs
+    copies = [(np.ascontiguousarray(xs), np.ascontiguousarray(ds)) for xs, ds in groups]
+    want = engine.outer_product_groups(copies, 16, seeds)
+    assert all(np.array_equal(a.view(np.uint16), b.view(np.uint16)) for a, b in zip(out, want))
+
+
 def test_batch_and_job_share_one_validator():
     xs = np.full((2, 2), 0.5, dtype=np.float16)
     with pytest.raises(DomainError):
@@ -641,6 +726,12 @@ def test_a_dead_group_before_live_groups(lr):
         many, _ = outer_product_many(xs, ds, 16, sx[lo:hi], sd[lo:hi], lr)
         assert np.array_equal(many.view(np.uint16), want)
         lo = hi
+
+
+def test_sum_updates_of_an_empty_batch_is_the_positive_zero_update():
+    total = sum_updates(np.zeros((0, 2, 3), np.float16))
+    assert total.dtype == np.float16
+    assert total.view(np.uint16).tolist() == [[0x0000] * 3] * 2
 
 
 def test_sum_updates_sums_from_positive_zero():
