@@ -15,17 +15,15 @@ built), and one core with one path for every job. Once per call, over one
 flat array of every group's x rows and then delta rows, the core finds each
 (side, job) peak, the live jobs (for the draw count), and every job's
 exponents, levels (encoder.encode_levels) and sign offsets, words, scales
-and pack table; a group of one x row and delta row broadcast over its jobs
-(stride 0: each empirical_stats block) is checked and encoded once, with one
-table and start index. Each group then compares its levels with its jobs'
-words, and counts and packs its entries (a dead job's all-zero side encodes
-to level 0, so each of its counts is 0, which packs +0):
+and pack table. Each group then compares its levels with its jobs' words,
+and counts and packs its entries (a dead job's all-zero side encodes to
+level 0, so each of its counts is 0, which packs +0):
 
-* count: each row of stream bits is packed into machine words (np.packbits;
-  one uint8/16/32/64 word when the row fills 1, 2, 4 or 8 bytes, else
-  zero-padded to whole uint64 words). Entry (j, i) counts popcount(d_j & x_i)
-  summed over the words. numpy vectorizes the popcount of bytes but not of
-  16-bit words (about 12x slower per word), so a 16-bit word (rows of 9 to
+* count (_count): each row of stream bits is packed into machine words
+  (np.packbits; one uint8/16/32/64 word when the row fills 1, 2, 4 or 8
+  bytes, else zero-padded to whole uint64 words). Entry (j, i) counts
+  popcount(d_j & x_i) summed over the words. numpy vectorizes the popcount
+  of bytes but not of 16-bit words (about 12x slower per word), so a 16-bit word (rows of 9 to
   16 events) is counted through its two bytes and their counts added in
   uint16; wider words count as they are, which was faster than their bytes.
 * pack: each job's scale exponent fixes a (3, seq_len + 1) binary16 table,
@@ -43,12 +41,10 @@ whole jobs, or of one job's delta row classes. Their per-entry temporaries
 (the AND word, its popcount, the start and gather indexes and the intp
 copy np.take makes, up to 25 bytes an entry) then stay in cache rather than
 stream through memory at the size of the whole update. A tile writes
-straight into its slice of the output (a class tile, below, into its
-compact buffer). The output is new binary16 or a caller's float array
-(outer_product_many's out), which the table is cast to once; binary16 is
-exact in every float dtype, so the values are the same. A live call packs
-every entry, a dead job's too, so its new output is left uninitialized
-until then; a call with no live job writes zeros. Below 2^15 entries
+straight into its slice of the new binary16 output (a class tile, below,
+into its compact buffer). A live call packs every entry, a dead job's too,
+so its output is left uninitialized until then; a call with no live job
+returns zeros. Below 2^15 entries
 the per-tile calls cost up to 20%; at 2^16 a mid-size job after a large
 one (whose frees shrink the heap) page-faults its temporaries back in: 176
 faults against 64 for 256 x 256 at seq_len 16, enough to lift the median
@@ -70,8 +66,22 @@ index at its product sign's row, of the table's first two, plus its x
 column's popcount over the words before w (one (W, 2, n_x) uint16 table
 per job), and ANDs and popcounts word w alone with a prefix mask. One
 gather then writes every delta row from its class's row. Whole-job tiles,
-which every training step and every empirical_stats block use, count every
-row and every word as above.
+which every training step uses, count every row and every word as above.
+
+trial_sums (each empirical_stats block) runs one x row and one delta row
+once per seed pair and returns only each entry's sum and sum of squares
+over those trials, so it packs no entry. The trials share one scale 2^e and
+so one pack table, whose entry for count c is sign * q * m[c], with
+q = 2^clip(e, -24, 5) and m[c] an integer of at most 2048; when the table
+is c * 2^e for every c, q is 2^e and m[c] = c. The sums are therefore
+sign * q * sum m[c] and q^2 * sum m[c]^2, exact in float64 from integer
+sums held in int16, int32 or int64, the narrowest that holds the trials
+times max(m)^2. So no sum wraps (2^15 saturated 1 x 1 trials, one tile,
+would wrap uint32), and an empirical_stats block of 64 trials of 64 x 64
+at seq_len 16 sums in int16, about 1.5x faster than in int64. Whole-job
+tiles sum _count's counts, taking m[c] first only when m[c] != c; larger
+shapes run each trial through the class path above with sign offsets of 0
+and an identity table, which packs each count as it is into uint16.
 
 apply_update folds the matrix into weights with momentum, every arithmetic
 step rounded to binary16; step_factors checks its lr and momentum there.
@@ -116,12 +126,19 @@ class OuterProductJob:
     lr: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", as_binary16(self.x, "x"))
-        object.__setattr__(self, "delta", as_binary16(self.delta, "delta"))
-        if self.x.ndim != 1 or self.delta.ndim != 1:
-            raise ContractError("x and delta must be 1-D vectors")
+        x, delta = _vectors(self.x, self.delta)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "delta", delta)
         _checked_groups([(self.x[None], self.delta[None])], self.seq_len,
                         ([self.seed_x], [self.seed_delta]), self.lr)
+
+
+def _vectors(x, delta):
+    """One job's operands as float16 1-D vectors."""
+    x, delta = as_binary16(x, "x"), as_binary16(delta, "delta")
+    if x.ndim != 1 or delta.ndim != 1:
+        raise ContractError("x and delta must be 1-D vectors")
+    return x, delta
 
 
 def check_seed_pairs(seeds_x, seeds_delta) -> np.ndarray:
@@ -134,10 +151,12 @@ def check_seed_pairs(seeds_x, seeds_delta) -> np.ndarray:
     return seeds
 
 
-def _checked_groups(groups, seq_len, seeds, lr):
-    """The one check of an engine call -> (float16 groups, (2, sum B) uint16 seeds).
+def _checked_groups(groups, seq_len, seeds, lr, seed_per_job=True):
+    """The one check of an engine call -> (float16 groups, (2, B) uint16 seeds).
 
-    seeds is an (x seeds, delta seeds) pair, such as a (2, sum B) array.
+    seeds is an (x seeds, delta seeds) pair, such as a (2, B) array: one
+    column per job (B = sum B_g), or without seed_per_job any number of
+    them, each a trial of the one row pair that groups then holds.
     """
     try:
         seeds_x, seeds_delta = seeds
@@ -151,21 +170,15 @@ def _checked_groups(groups, seq_len, seeds, lr):
             raise ContractError("xs and deltas must be 2-D with matching batch size")
         if xs.shape[1] == 0 or deltas.shape[1] == 0:
             raise DomainError("x and delta must be nonempty vectors")
-        row_x, row_d = _encoded_rows(xs, deltas)
-        if not (np.isfinite(row_x).all() and np.isfinite(row_d).all()):
+        if not (np.isfinite(xs).all() and np.isfinite(deltas).all()):
             raise DomainError("x and delta entries must be finite")
         checked.append((xs, deltas))
-    if not checked or seeds.shape[1] != sum(xs.shape[0] for xs, _ in checked):
+    if not checked or seed_per_job and seeds.shape[1] != sum(len(xs) for xs, _ in checked):
         raise ContractError("need a group of jobs or more, and one seed pair per job")
     check_seq_len(seq_len)
     if lr is not None and not (math.isfinite(lr) and lr > 0):
         raise DomainError("lr must be finite and positive")
     return checked, seeds
-
-
-def _encoded_rows(xs, deltas):
-    """A group's rows to encode: one x row and delta row if both are broadcast (stride 0)."""
-    return (xs[:1], deltas[:1]) if xs.strides[0] == 0 == deltas.strides[0] else (xs, deltas)
 
 
 @dataclass(frozen=True)
@@ -228,34 +241,25 @@ def _pack_table(seq_len: int, exponents) -> np.ndarray:
     return table.view(np.float16)
 
 
-def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr, out=None):
+def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr):
     """The engine core: groups of checked jobs -> (entries per group, draws, scale exponents).
 
     Group g is a float16 (xs, deltas) pair, (B_g, n_x) and (B_g, n_d); seeds
-    is (2, sum B_g), one column per job in group order. Entries are
-    (B_g, n_d, n_x) binary16 values, in out[g] if out is given (a checked
-    float array per group), else in a new float16 array. Every job runs the
-    same path; draws is 2 * seq_len per live job (both operands nonzero),
-    the hardware's count. Each encoded row pair (_encoded_rows) has an
-    exponent; a call with no live job returns zeros, 0 draws and None.
+    is (2, sum B_g), one column per job in group order. Entries are new
+    (B_g, n_d, n_x) binary16 arrays. Every job runs the same path and has an
+    exponent; draws is 2 * seq_len per live job (both operands nonzero), the
+    hardware's count. A call with no live job returns zeros, 0 draws and
+    None for the exponents.
     """
-    encoded = [_encoded_rows(xs, deltas) for xs, deltas in groups]
-    # every group's x rows, then every group's delta rows: one segment per (side, row)
-    operands = [group[side] for side in (0, 1) for group in encoded]
+    # every group's x rows, then every group's delta rows: one segment per (side, job)
+    operands = [group[side] for side in (0, 1) for group in groups]
     flat = np.concatenate([v.reshape(-1) for v in operands])
     lengths = np.array([v.shape[1] for v in operands]).repeat([len(v) for v in operands])
     mags = np.abs(flat).astype(np.float64)
     peaks = np.maximum.reduceat(mags, lengths.cumsum() - lengths).reshape(2, -1)
-    live = peaks.all(axis=0)
-    if live.size < seeds.shape[1]:  # a broadcast group's row pair is live for each of its jobs
-        live = live.repeat([len(g[0]) // len(x) for g, (x, _) in zip(groups, encoded) for _ in x])
-    draws = 2 * seq_len * int(np.count_nonzero(live))
-    if out is None:  # a live call packs every entry, a dead job's too
-        new = np.empty if draws else np.zeros
-        out = [new((x.shape[0], d.shape[1], x.shape[1]), np.float16) for x, d in groups]
-    elif not draws:
-        for entries in out:
-            entries[...] = 0
+    draws = 2 * seq_len * int(np.count_nonzero(peaks.all(axis=0)))
+    new = np.empty if draws else np.zeros  # a live call packs every entry, a dead job's too
+    out = [new((x.shape[0], d.shape[1], x.shape[1]), np.float16) for x, d in groups]
     if not draws:
         return out, 0, None
 
@@ -270,23 +274,19 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr, out=None):
     # each operand's (levels, sign offsets) in its shape: the x sides, then the deltas
     coded = [(levels[e - v.size : e].reshape(v.shape), flips[e - v.size : e].reshape(v.shape))
              for v, e in zip(operands, itertools.accumulate(v.size for v in operands))]
-    first = row = 0  # the group's first job, and its first encoded row
+    first = 0  # the group's first job
     for entries, (level_x, flip_x), (level_d, flip_d) in zip(out, coded, coded[len(out):]):
         jobs = slice(first, first + len(entries))
-        rows = slice(row, row + len(level_x))
-        first, row = jobs.stop, rows.stop
+        first = jobs.stop
         n_d, n_x = entries.shape[1:]
-        table = tables[rows].astype(entries.dtype, copy=False)  # binary16 is exact in any float
+        table = tables[jobs]
         if n_d * n_x > _TILE:  # a tile is a block of one job's delta row classes
-            if len(level_x) < len(entries):  # a broadcast group: each job reads the one row
-                level_x, level_d, flip_x, flip_d, table = (np.broadcast_to(a, (
-                    len(entries), *a.shape[1:])) for a in (level_x, level_d, flip_x, flip_d, table))
             _count_pack_prefixes(words[:, jobs], level_x, level_d, flip_x, flip_d, table,
                                  max(1, _TILE // n_x), entries)
             continue
         tile_jobs = max(1, min(_TILE // (n_d * n_x), len(entries)))  # or a block of whole jobs
         # each job's first entry in its tile's rows of the table, in the narrowest index that
-        # holds the tile's last entry; a broadcast group's tiles read its one table
+        # holds the tile's last entry
         size = table[:tile_jobs].size
         width = np.uint16 if size <= 1 << 16 else np.uint32
         base = np.arange(0, size, 3 * (seq_len + 1), dtype=width)[:, None]
@@ -294,11 +294,9 @@ def _run_jobs(groups, seq_len: int, seeds: np.ndarray, lr, out=None):
         words_x = _stream_words(level_x[:, :, None] >= words[0, jobs, None, :])
         for lo in range(0, len(entries), tile_jobs):
             j = slice(lo, lo + tile_jobs)
-            if lo == 0 or len(level_x) > 1:  # a broadcast group builds one start index
-                # the sum of two sign offsets, each 0 or seq_len + 1, lands on the sign's row
-                start = (flip_d[j] + base[: len(flip_d[j])])[:, :, None] + flip_x[j][:, None, :]
-                tile_table = table[j].reshape(-1)
-            _count_pack(words_d[:, j], words_x[:, j], start, tile_table, out=entries[j])
+            # the sum of two sign offsets, each 0 or seq_len + 1, lands on the product sign's row
+            start = (flip_d[j] + base[: len(flip_d[j])])[:, :, None] + flip_x[j][:, None, :]
+            _count_pack(words_d[:, j], words_x[:, j], start, table[j].reshape(-1), out=entries[j])
     return out, draws, exponents
 
 
@@ -340,30 +338,41 @@ def _count_pack_prefixes(words, level_x, level_d, flip_x, flip_d, tables, tile_r
         np.take(rows, inverse, axis=0, out=out[b], mode="clip")
 
 
+def _count(words_d, words_x) -> np.ndarray:
+    """(B, r, n_x) counts popcount(d_j & x_i) summed over the stream words.
+
+    words_d is (W, B, r) and words_x (W, B, n_x) stream words. Counts are
+    uint8 from one 8-, 32- or 64-bit word, else uint16: a 16-bit word's two
+    byte counts add in uint16, and several words may count past 255.
+    """
+    shape = words_d.shape[1:] + words_x.shape[2:]
+    both = np.empty(shape, dtype=words_d.dtype)
+    bytewise = both.itemsize == 2  # a 16-bit word, a row's only word, counts through its bytes
+    count = np.empty(shape, dtype=np.uint16 if bytewise or len(words_d) > 1 else np.uint8)
+    ones = np.empty(shape, dtype=np.uint8) if len(words_d) > 1 else count
+    for w, (wd, wx) in enumerate(zip(words_d, words_x)):  # AND + popcount per stream word
+        np.bitwise_and(wd[:, :, None], wx[:, None, :], out=both)
+        if bytewise:  # the bytes' counts a + 256 b; * 257 puts a + b in the high byte
+            np.bitwise_count(both.view(np.uint8), out=count.view(np.uint8))
+            count *= np.uint16(257)
+            count >>= np.uint16(8)
+        elif w:
+            np.add(count, np.bitwise_count(both, out=ones), out=count)
+        else:
+            np.bitwise_count(both, out=count)
+    return count
+
+
 def _count_pack(words_d, words_x, start, table, out):
     """Count and pack one tile of jobs into out: (B, r, n_x) entries from table.
 
-    words_d is (W, B, r) and words_x (W, B, n_x) stream words. start, uint16
-    or uint32 and broadcast to out's shape, is each entry's start in table:
-    its job's first entry, the sign's row offset, plus any count before the
-    words passed. Each word's count adds on (the first word's onto a copy of
-    start), and the sum stays within the job's rows of the table.
+    start, uint16 or uint32 and broadcast to out's shape, is each entry's
+    start in table: its job's first entry, the sign's row offset, plus any
+    count before the words passed. The count (_count) adds onto a copy of
+    start, and the sum stays within the job's rows of the table.
     """
-    both = np.empty(out.shape, dtype=words_d.dtype)
-    bytewise = both.itemsize == 2  # a 16-bit word is counted through its two bytes
-    ones = np.empty(out.shape, dtype=np.uint16 if bytewise else np.uint8)
-    index = start
-    for wd, wx in zip(words_d, words_x):  # count: AND + popcount per stream word
-        np.bitwise_and(wd[:, :, None], wx[:, None, :], out=both)
-        if bytewise:  # the bytes' counts a + 256 b; * 257 puts a + b in the high byte
-            np.bitwise_count(both.view(np.uint8), out=ones.view(np.uint8))
-            ones *= np.uint16(257)
-            ones >>= np.uint16(8)
-        else:
-            np.bitwise_count(both, out=ones)
-        index = index + ones if index is start else np.add(index, ones, out=index)
     # pack: gather each entry from its job's rows of the table
-    np.take(table, index, out=out, mode="clip")  # "raise" buffers out
+    np.take(table, start + _count(words_d, words_x), out=out, mode="clip")  # "raise" buffers out
 
 
 def outer_product(job: OuterProductJob) -> UpdateMatrix:
@@ -382,26 +391,16 @@ def outer_product_many(
     seeds_x: np.ndarray,
     seeds_delta: np.ndarray,
     lr: float | None = None,
-    out: np.ndarray | None = None,
 ):
     """Run B independent jobs in lockstep.
 
     xs is (B, n_x), deltas is (B, n_d); seeds are (B,) nonzero words with
     seeds_x[b] != seeds_delta[b]. Returns (entries, rng_draws) where entries
     is (B, n_d, n_x) float16, bit-identical per job to outer_product, and
-    rng_draws counts only non-short-circuited jobs. out, if given, is a
-    writable (B, n_d, n_x) float array that takes the entries' values
-    (binary16 is exact in every float dtype) and is returned as entries.
+    rng_draws counts only non-short-circuited jobs.
     """
     groups, seeds = _checked_groups([(xs, deltas)], seq_len, (seeds_x, seeds_delta), lr)
-    if out is not None:
-        (xs, deltas), = groups
-        shape = (len(xs), deltas.shape[1], xs.shape[1])
-        if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype.kind == "f"
-                and out.flags.writeable):
-            raise ContractError(f"out must be a writable {shape} float array")
-        out = [out]
-    (entries,), draws, _ = _run_jobs(groups, seq_len, seeds, lr, out)
+    (entries,), draws, _ = _run_jobs(groups, seq_len, seeds, lr)
     return entries, draws
 
 
@@ -417,6 +416,64 @@ def outer_product_groups(groups, seq_len: int, seeds: np.ndarray, lr: float | No
     """
     groups, seeds = _checked_groups(groups, seq_len, seeds, lr)
     return _run_jobs(groups, seq_len, seeds, lr)[0]
+
+
+def trial_sums(x, delta, seq_len: int, seeds, lr: float | None = None):
+    """Exact float64 sums of each entry and of its square over one job per seed pair.
+
+    Every job runs the vectors x and delta; seeds is an (x seeds, delta
+    seeds) pair or a (2, B) array, checked as outer_product_many checks
+    them. Returns a (2, n_d, n_x) float64 array: the sums over the B jobs of
+    the entries that outer_product_many returns for B copies of x and delta,
+    and of their squares, to the bit (see the module docstring). An all-zero
+    x or delta returns +0 sums without computing a scale, as
+    outer_product_many returns a dead call's zeros.
+    """
+    x, delta = _vectors(x, delta)
+    _, seeds = _checked_groups([(x[None], delta[None])], seq_len, seeds, lr, seed_per_job=False)
+    n_d, n_x = shape = delta.size, x.size
+    trials = seeds.shape[1]
+    mags = np.abs(np.concatenate((x, delta))).astype(np.float64)
+    peaks = mags[:n_x].max(), mags[n_x:].max()
+    if not all(peaks):  # each entry packs +0, at no scale, as a dead job's does
+        return np.zeros((2, *shape))
+    exps = ceil_exponents(peaks)
+    levels = encode_levels(mags, exps.repeat([n_x, n_d]))
+    level_x, level_d = levels[:n_x], levels[n_x:]
+    words = word_matrix(seeds.reshape(-1), seq_len).reshape(2, -1, seq_len)
+    e = int(scale_exponents(*exps, seq_len, lr))
+    packed = _pack_table(seq_len, [e])[0, 0].astype(np.float64)  # counts 0..seq_len, packed
+    linear = (packed == np.ldexp(np.arange(seq_len + 1.0), e)).all()
+    q = e if linear else min(max(e, -24), 5)
+    m = np.ldexp(packed, -q).astype(np.uint16)  # k of each count: the count itself if linear
+    # every sum is at most trials * max(k)^2 (m[-1] is the largest k): held in the narrowest
+    # int that holds that
+    bound = trials * int(m[-1]) ** 2
+    sums = np.zeros((2, *shape), dtype=next(
+        t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max))  # of k, k^2
+    if n_d * n_x > _TILE:  # a tile is one job, tiled by its delta row classes
+        # sign offsets of 0, and an identity table, which packs each count as it is
+        zero_x, zero_d = np.zeros((1, n_x), np.uint16), np.zeros((1, n_d), np.uint16)
+        identity = np.arange(seq_len + 1, dtype=np.uint16)[None]
+        counts = np.empty((1, *shape), dtype=np.uint16)
+        for b in range(trials):
+            _count_pack_prefixes(words[:, b : b + 1], level_x[None], level_d[None], zero_x,
+                                 zero_d, identity, max(1, _TILE // n_x), counts)
+            k = counts[0] if linear else np.take(m, counts[0])
+            sums[0] += k
+            sums[1] += np.square(k, dtype=sums.dtype)
+    else:  # or a block of whole jobs
+        step = _TILE // (n_d * n_x)
+        words_d = _stream_words(level_d[:, None] >= words[1, :, None, :])
+        words_x = _stream_words(level_x[:, None] >= words[0, :, None, :])
+        for lo in range(0, trials, step):
+            c = _count(words_d[:, lo : lo + step], words_x[:, lo : lo + step])
+            k = c if linear else np.take(m, c)
+            sums[0] += k.sum(axis=0, dtype=sums.dtype)
+            sums[1] += np.square(k, dtype=sums.dtype).sum(axis=0, dtype=sums.dtype)
+    negative = np.signbit(delta)[:, None] ^ np.signbit(x)  # each entry's product sign
+    np.negative(sums[0], out=sums[0], where=negative)  # a 0 sum stays +0
+    return sums * np.ldexp(1.0, [[[q]], [[2 * q]]])
 
 
 def step_factors(lr: float | None, momentum: float):

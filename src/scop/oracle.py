@@ -28,12 +28,12 @@ from fractions import Fraction
 import numpy as np
 
 from .encoder import check_seq_len, probability_of
-from .engine import derive_seed_pairs, outer_product_many
+from .engine import derive_seed_pairs, trial_sums
 from .errors import ContractError, DomainError, is_int
 from .fp16 import SIGN_MASK, as_binary16, decode_bits
 from .unit_cell import f_scale, scale_exponents
 
-# update entries per empirical_stats block: its float64 sums stay in cache
+# update entries per empirical_stats block, which derives its own seed pairs
 _BLOCK = 1 << 18
 _MAX_TRIALS = 1 << 31  # empirical_stats' sums are exact below this many trials
 
@@ -95,19 +95,17 @@ def empirical_stats(
     schedule is deterministic and collision-free within a trial. trials is
     an integer from 2 to 2^31 - 1, the bound of the exactness argument below.
 
-    Trials run and are summed in blocks of about _BLOCK entries, each block
-    deriving its own seed pairs (counters lo..hi-1). The engine packs a
-    block's entries straight into one float64 buffer, allocated once per
-    call, which is then summed, squared in place and summed again, so no
-    block allocates an entry array of its own. The block size cannot change a bit of the result:
-    every trial shares x, delta and lr, so every entry packs at one
-    scale 2^e, and each is k * q for q = 2^min(max(e, -24), 5) and an integer
-    |k| <= 2048 (a subnormal rounds onto the 2^-24 grid, a saturated entry
-    latches at 65504 = 2047 * 2^5). A partial sum of entries is then q, and
-    one of their squares q^2, times an integer below 2^53 for fewer than
-    2^31 trials. float64 holds each such sum exactly, so every order of
-    adding gives the same bits. A block is one engine group, x and delta
-    broadcast over its trials, so the engine encodes it once.
+    Trials run in blocks of about _BLOCK entries, each block deriving its
+    own seed pairs (counters lo..hi-1), and engine.trial_sums sums each
+    block's entries and their squares without packing them. The block size
+    cannot change a bit of the result: every trial shares x, delta and lr,
+    so every entry packs at one scale 2^e, and each is +-k * q for
+    q = 2^min(max(e, -24), 5) and an integer 0 <= k <= 2048 (a subnormal
+    rounds onto the 2^-24 grid, a saturated entry latches at
+    65504 = 2047 * 2^5). Below 2^31 trials, sum k < 2^42 and
+    sum k^2 < 2^31 * 2^22 = 2^53 are exact in int64, and float64 holds q and
+    q^2 times such an integer exactly, so every blocking and every order of
+    adding gives the same bits.
     """
     if not (is_int(trials, 2) and trials < _MAX_TRIALS):
         raise DomainError(f"trials must be an integer from 2 to 2^31 - 1, got {trials}")
@@ -115,20 +113,14 @@ def empirical_stats(
     if x.ndim != 1 or delta.ndim != 1:
         raise ContractError("x and delta must be 1-D vectors")
 
-    shape = (delta.size, x.size)
-    total = np.zeros(shape, dtype=np.float64)
-    total_sq = np.zeros(shape, dtype=np.float64)
+    sums = np.zeros((2, delta.size, x.size))  # of the entries and of their squares
     block = min(trials, max(1, _BLOCK // max(1, delta.size * x.size)))  # trials per block
-    buffer = np.empty((block, *shape), dtype=np.float64)
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
         seeds = derive_seed_pairs(base_seed_x, base_seed_delta, np.arange(lo, hi))
-        xs = np.broadcast_to(x, (hi - lo, x.size))
-        ds = np.broadcast_to(delta, (hi - lo, delta.size))
-        e64, _ = outer_product_many(xs, ds, seq_len, *seeds, lr, out=buffer[: hi - lo])
-        total += e64.sum(axis=0)
-        total_sq += np.multiply(e64, e64, out=e64).sum(axis=0)
+        sums += trial_sums(x, delta, seq_len, seeds, lr)
 
+    total, total_sq = sums
     mean = total / trials
     variance = (total_sq - trials * mean * mean) / (trials - 1)
     np.maximum(variance, 0.0, out=variance)  # guard tiny negative residue

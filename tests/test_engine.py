@@ -24,6 +24,7 @@ from scop.engine import (
     outer_product_groups,
     outer_product_many,
     sum_updates,
+    trial_sums,
     _pack_table,
 )
 from scop.errors import ContractError, DomainError, SeedError
@@ -496,7 +497,7 @@ def test_a_dead_jobs_scale_is_checked_like_a_live_jobs():
 
 
 def test_batch_of_broadcast_operands_matches_contiguous_copies():
-    """empirical_stats passes np.broadcast_to views; the bits must not depend on layout."""
+    """np.broadcast_to views are a batch like any other; the bits must not depend on layout."""
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, 24).astype(np.float16)
     d = rng.uniform(-2, 2, 12).astype(np.float16)
@@ -531,13 +532,9 @@ _BROADCAST_CASES = {
 }
 
 
-@pytest.mark.parametrize("dtype", [None, np.float16, np.float32, np.float64], ids=str)
 @pytest.mark.parametrize("case", _BROADCAST_CASES)
-def test_broadcast_rows_match_contiguous_copies_in_every_layout(case, dtype):
-    """A group of one broadcast row pair is encoded once; entries, bits and draws are a copy's.
-
-    Each case also runs with only one side broadcast, which takes the path of a batch.
-    """
+def test_broadcast_rows_match_contiguous_copies_in_every_layout(case):
+    """Entries, bits and draws of broadcast rows are a copy's, one side or both broadcast."""
     x, d, jobs, seq_len, lr = _BROADCAST_CASES[case]
     sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, np.arange(jobs))
     views = (np.broadcast_to(x, (jobs, x.size)), np.broadcast_to(d, (jobs, d.size)))
@@ -545,53 +542,81 @@ def test_broadcast_rows_match_contiguous_copies_in_every_layout(case, dtype):
     want, want_draws = outer_product_many(*copies, seq_len, sx, sd, lr)
     assert want_draws == (2 * seq_len * jobs if x.any() and d.any() else 0)
     for operands in (views, (views[0], copies[1]), (copies[0], views[1])):
-        out = None if dtype is None else np.full(want.shape, np.nan, dtype=dtype)
-        got, draws = outer_product_many(*operands, seq_len, sx, sd, lr, out=out)
+        got, draws = outer_product_many(*operands, seq_len, sx, sd, lr)
         assert draws == want_draws
-        assert got.dtype == (dtype or np.float16)
-        assert np.array_equal(got.astype(np.float16).view(np.uint16), want.view(np.uint16))
+        assert np.array_equal(got.view(np.uint16), want.view(np.uint16))
     if not want_draws:  # a dead row pair packs +0 in every entry
         assert not want.view(np.uint16).any()
 
 
-def test_a_broadcast_group_has_one_table_and_one_start_index(monkeypatch):
-    """Its one row pair is encoded once: one exponent, and one start index for every tile."""
-    exponents, starts = [], []
-    pack_table, count_pack = engine._pack_table, engine._count_pack
-    monkeypatch.setattr(engine, "_pack_table", lambda m, e: exponents.append(np.size(e))
-                        or pack_table(m, e))
-    monkeypatch.setattr(engine, "_count_pack", lambda *a, out: starts.append(a[2])
-                        or count_pack(*a, out=out))
+def _fsums(entries):
+    """math.fsum of each entry over the B trials of (B, n_d, n_x) entries, and of its square."""
+    cells = entries.astype(np.float64).reshape(len(entries), -1).T
+    sums = [[math.fsum(c) for c in cells], [math.fsum(c * c) for c in cells]]
+    return np.array(sums).reshape(2, *entries.shape[1:])
+
+
+@pytest.mark.parametrize("lr", ["case", 1e4, 1e-9])
+@pytest.mark.parametrize("case", _BROADCAST_CASES)
+def test_trial_sums_equal_the_sums_of_outer_product_many(case, lr):
+    """Sums of counts times one scale are the float64 sums of the packed entries, to the bit."""
+    x, d, jobs, seq_len, case_lr = _BROADCAST_CASES[case]
+    lr = case_lr if lr == "case" else lr
+    seeds = derive_seed_pairs(0xACE1, 0x2C9F, np.arange(jobs))
+    entries, _ = outer_product_many(np.tile(x, (jobs, 1)), np.tile(d, (jobs, 1)), seq_len,
+                                    *seeds, lr)
+    got = trial_sums(x, d, seq_len, seeds, lr)
+    assert got.dtype == np.float64 and got.shape == (2, d.size, x.size)
+    assert np.array_equal(got.view(np.uint64), _fsums(entries).view(np.uint64))
+
+
+@pytest.mark.parametrize("x, d, lr, kind", [
+    ([90.0], [-70.0], 1e4, "saturating"),  # every nonzero entry latches at 65504 = 2047 * 2^5
+    ([3.0], [-20.0], 1e-9, "subnormal"),  # scale 2^-27 rounds each count c to rint(c / 8) 2^-24
+])
+def test_trial_sums_of_40000_one_by_one_trials_are_exact(x, d, lr, kind):
+    """A tile holds 2^15 trials of 1 x 1; its sum of 2047^2 squares overflows 32 bits."""
+    x, d = np.array(x, dtype=np.float16), np.array(d, dtype=np.float16)
+    trials = 40_000
+    seeds = derive_seed_pairs(0xACE1, 0x2C9F, np.arange(trials))
+    entries, _ = outer_product_many(np.tile(x, (trials, 1)), np.tile(d, (trials, 1)), 16,
+                                    *seeds, lr)
+    mags = np.abs(entries[entries != 0])
+    if kind == "saturating":
+        assert (mags == MAX_FINITE).all()
+        assert np.count_nonzero(entries[: 2**15]) * 2047**2 >= 2**32  # the first tile's sum
+    else:
+        assert set(np.ldexp(mags.astype(np.float64), 24)) == {1.0, 2.0}  # rint(c / 8), c <= 16
+    got = trial_sums(x, d, 16, seeds, lr)
+    assert np.array_equal(got.view(np.uint64), _fsums(entries).view(np.uint64))
+
+
+class _Packed(Exception):
+    pass
+
+
+def test_trial_sums_of_whole_jobs_pack_no_entry(monkeypatch):
+    """Whole-job tiles sum their counts straight from the AND/popcount loop."""
+    def count_pack(*args, out):
+        raise _Packed
+
+    monkeypatch.setattr(engine, "_count_pack", count_pack)
     x, d, jobs, seq_len, lr = _BROADCAST_CASES["whole jobs over many tiles"]
-    views = (np.broadcast_to(x, (jobs, x.size)), np.broadcast_to(d, (jobs, d.size)))
-    outer_product_many(*views, seq_len, *derive_seed_pairs(1, 2, np.arange(jobs)), lr)
-    assert exponents == [1]
-    assert len(starts) == 3 and all(start is starts[0] for start in starts)
-    assert starts[0].shape == (1, d.size, x.size)
+    trial_sums(x, d, seq_len, derive_seed_pairs(1, 2, np.arange(jobs)), lr)
+    with pytest.raises(_Packed):  # the patch is live: a batch packs through it
+        outer_product_many(x[None], d[None], seq_len, [1], [2], lr)
 
 
-def test_a_call_with_a_broadcast_group_makes_each_per_call_pass_once(monkeypatch):
-    """A broadcast group joins the call's one pass; the other groups keep an exponent per job."""
-    calls = {}
-    for name in ("ceil_exponents", "encode_levels", "word_matrix", "_pack_table"):
-        fn = getattr(engine, name)
-        monkeypatch.setattr(engine, name, lambda *a, fn=fn, name=name:
-                            calls.setdefault(name, []).append(a) or fn(*a))
-    rng = np.random.default_rng(8)
-    groups = [(rng.uniform(-1, 1, (4, n_x)).astype(np.float16),
-               rng.uniform(-1, 1, (4, n_d)).astype(np.float16))
-              for n_x, n_d in ((2, 9), (9, 5))]
-    x, d = rng.uniform(-1, 1, 7).astype(np.float16), rng.uniform(-1, 1, 3).astype(np.float16)
-    groups.insert(1, (np.broadcast_to(x, (6, 7)), np.broadcast_to(d, (6, 3))))
-    seeds = check_seed_pairs(*derive_seed_pairs(3, 4, np.arange(14)))
-    out = engine.outer_product_groups(groups, 16, seeds)
-    assert sorted(calls) == ["_pack_table", "ceil_exponents", "encode_levels", "word_matrix"]
-    assert all(len(args) == 1 for args in calls.values())
-    (_, exponents), = calls["_pack_table"]
-    assert exponents.shape == (4 + 1 + 4,)  # one for the broadcast group's six jobs
-    copies = [(np.ascontiguousarray(xs), np.ascontiguousarray(ds)) for xs, ds in groups]
-    want = engine.outer_product_groups(copies, 16, seeds)
-    assert all(np.array_equal(a.view(np.uint16), b.view(np.uint16)) for a, b in zip(out, want))
+def test_trial_sums_of_a_dead_row_pair_are_positive_zeros_before_any_scale():
+    """lr = 1e-310 would underflow a live scale; a dead row pair never computes one."""
+    x = np.array([0.0, -0.0, 0.0], dtype=np.float16)
+    d = np.array([-0.5, 0.25], dtype=np.float16)
+    seeds = derive_seed_pairs(3, 4, np.arange(5))
+    got = trial_sums(x, d, 16, seeds, 1e-310)
+    assert got.shape == (2, 2, 3) and not got.view(np.uint64).any()
+    tiny = np.array([2**-24, -(2**-24)], dtype=np.float16)  # its scale, 2^-48 lr, underflows
+    with pytest.raises(DomainError, match="lr"):
+        trial_sums(tiny, tiny, 16, seeds, 1e-310)
 
 
 def test_batch_and_job_share_one_validator():
@@ -1089,63 +1114,6 @@ def test_a_16_bit_word_counts_its_popcount_for_every_word():
     entries = np.empty(index.shape, dtype=np.float16)
     engine._count_pack(ones, words[None, None], index, table, entries)
     assert np.array_equal(entries[0, 0], np.bitwise_count(words) + start)
-
-
-def _out_case_whole_jobs():
-    rng = np.random.default_rng(31)
-    xs = rng.uniform(-1, 1, (9, 12)).astype(np.float16)
-    ds = rng.uniform(-1, 1, (9, 7)).astype(np.float16)
-    xs[4] = 0  # a dead job among live ones
-    return xs, ds, *derive_seed_pairs(5, 6, np.arange(9)), 0.05
-
-
-def _out_case_class_rows():
-    rng = np.random.default_rng(32)
-    xs = rng.uniform(-1, 1, (1, 300)).astype(np.float16)
-    ds = rng.uniform(-1, 1, (1, 200)).astype(np.float16)  # 60,000 entries: a job of row tiles
-    return xs, ds, *derive_seed_pairs(7, 8, np.arange(1)), None
-
-
-def _out_case_dead_call():
-    xs = np.zeros((3, 4), dtype=np.float16)
-    ds = np.ones((3, 5), dtype=np.float16)
-    return xs, ds, *derive_seed_pairs(9, 10, np.arange(3)), None
-
-
-@pytest.mark.parametrize("dtype", [np.float16, np.float64])
-@pytest.mark.parametrize("case", [_out_case_whole_jobs, _out_case_class_rows, _out_case_dead_call],
-                         ids=lambda case: case.__name__.removeprefix("_out_case_"))
-def test_out_holds_the_default_calls_entries(monkeypatch, case, dtype):
-    """Every entry lands in out, in its dtype: a dead call's zeros too, and every class row."""
-    xs, ds, sx, sd, lr = case()
-    want, draws = outer_product_many(xs, ds, 64, sx, sd, lr)
-    out = np.full(want.shape, np.nan, dtype=dtype)  # an entry left unwritten stays NaN
-    dtypes = set()  # of every tile's table and output buffer
-    count_pack = engine._count_pack
-    monkeypatch.setattr(engine, "_count_pack", lambda *a, out: dtypes.update(
-        (a[3].dtype, out.dtype)) or count_pack(*a, out=out))
-    got, got_draws = outer_product_many(xs, ds, 64, sx, sd, lr, out=out)
-    assert got is out and got_draws == draws
-    assert dtypes == ({np.dtype(dtype)} if draws else set())
-    assert np.array_equal(out.astype(np.float16).view(np.uint16), want.view(np.uint16))
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
-@pytest.mark.parametrize("out", [
-    np.empty((2, 3, 5)),  # shape (2, 5, 3) is due
-    np.empty((2, 5, 3), dtype=np.int64),
-    _read_only(np.empty((2, 5, 3), dtype=np.float16)),
-    [[[0.0] * 3] * 5] * 2,  # not an array
-], ids=["shape", "integer", "read-only", "list"])
-def test_out_must_be_a_writable_float_array_of_the_entries_shape(out):
-    xs = np.full((2, 3), 0.5, dtype=np.float16)
-    ds = np.full((2, 5), 0.25, dtype=np.float16)
-    with pytest.raises(ContractError, match="out"):
-        outer_product_many(xs, ds, 16, [1, 3], [2, 4], out=out)
 
 
 def test_thousands_of_one_by_one_jobs_at_the_longest_stream_match_the_scalar_route(monkeypatch):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from scop.encoder import check_seq_len, encode
-from scop.engine import OuterProductJob, outer_product, outer_product_groups, outer_product_many
+from scop.engine import (
+    OuterProductJob, outer_product, outer_product_groups, outer_product_many, trial_sums,
+)
 from scop.errors import DomainError
 from scop.lfsr import Lfsr, word_matrix
 from scop.oracle import empirical_stats
@@ -34,6 +36,7 @@ ENTRY_POINTS = {
     "outer_product_groups.seq_len": lambda n: _bits(
         outer_product_groups([(X[None], D[None])], n, [[1], [2]])[0]
     ),
+    "trial_sums.seq_len": lambda n: trial_sums(X, D, n, [[1, 3], [2, 4]]).tolist(),
     "word_matrix.n": lambda n: word_matrix([1], n).tolist(),
     "Lfsr.next_words": lambda n: Lfsr(1).next_words(n).tolist(),
     "encode.seq_len": lambda n: encode(0.5, 0, Lfsr(1), n).bits,

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from scop.engine import OuterProductJob, apply_update, outer_product_groups
+from scop.engine import OuterProductJob, apply_update, outer_product_groups, trial_sums
 from scop.errors import DomainError
 from scop.formats import write_vector
 from scop.oracle import empirical_stats
@@ -58,6 +58,7 @@ FOLDED = {
     "outer_product_groups": lambda lr: outer_product_groups(
         [(X[None], D[None])], 16, np.array([[1], [2]]), lr),
     "empirical_stats": lambda lr: empirical_stats(X, D, 16, 4, 1, 2, lr=lr),
+    "trial_sums": lambda lr: trial_sums(X, D, 16, [[1, 3], [2, 4]], lr),
 }
 MOMENTUM_TAKERS = {
     "TrainingConfig": lambda m: TrainingConfig(momentum=m),

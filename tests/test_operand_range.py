@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from scop import fp16
-from scop.engine import OuterProductJob, apply_update, outer_product_groups, outer_product_many
+from scop.engine import (
+    OuterProductJob, apply_update, outer_product_groups, outer_product_many, trial_sums,
+)
 from scop.errors import DomainError
 from scop.oracle import empirical_stats
 
@@ -47,6 +49,7 @@ ENTRY_POINTS = {  # (call with v planted, the operand named in the refusal)
         lambda v: outer_product_groups([(np.array([X]), _with(D, v)[None])], 16, [[1], [2]]),
         "delta"),
     "empirical_stats": (lambda v: empirical_stats(_with(X, v), D, 16, 4), "x"),
+    "trial_sums": (lambda v: trial_sums(X, _with(D, v), 16, [[1, 3], [2, 4]]), "delta"),
     "apply_update update": (lambda v: apply_update(W, _with(D, v), 0.1, 0.9), "update"),
     "apply_update weights": (lambda v: apply_update(_with(D, v), W, 0.1, 0.9), "weights"),
     "apply_update velocity": (lambda v: apply_update(W, W, 0.1, 0.9, _with(D, v)), "velocity"),

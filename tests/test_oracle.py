@@ -117,13 +117,23 @@ def test_empirical_stats_is_deterministic():
     assert np.array_equal(a.variance, b.variance)
 
 
-def test_empirical_stats_chunking_is_invisible():
-    """Totals must not depend on the internal chunk boundary."""
-    x = np.array([0.4], dtype=np.float16)
-    d = np.array([0.9], dtype=np.float16)
-    small = empirical_stats(x, d, 8, trials=4097)  # crosses one chunk edge
-    assert small.trials == 4097
-    assert math.isfinite(float(small.mean[0, 0]))
+def test_empirical_stats_chunking_is_invisible(monkeypatch):
+    """Mean and variance bits do not depend on the block size: 4,097 trials in 1, 7 or 98 blocks."""
+    default = oracle._BLOCK
+    for x, d, lr in [
+        ([0.4, -0.9, 0.25], [0.9, -0.5], None),  # a table linear in the count
+        ([90.0, -60.0, 3.0], [-70.0, 20.0], 1e4),  # saturating: entries latch at 65504
+        ([3.0, -2.5, 1.0], [-20.0, 11.0], 1e-9),  # scale 2^-27: counts round onto 2^-24
+    ]:
+        monkeypatch.setattr(oracle, "_BLOCK", default)
+        want = empirical_stats(x, d, 16, trials=4097, lr=lr)
+        for block in (1 << 12, 1 << 8):  # 682 and 42 trials of 6 entries a block
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+            got = empirical_stats(x, d, 16, trials=4097, lr=lr)
+            assert got.trials == want.trials == 4097
+            assert np.array_equal(got.mean.view(np.uint64), want.mean.view(np.uint64)), (lr, block)
+            assert np.array_equal(got.variance.view(np.uint64), want.variance.view(np.uint64)), (
+                lr, block)
 
 
 @pytest.mark.parametrize("lr", [None, 1e4, 1e-9])

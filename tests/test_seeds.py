@@ -10,6 +10,7 @@ from scop.engine import (
     outer_product,
     outer_product_groups,
     outer_product_many,
+    trial_sums,
 )
 from scop.errors import ContractError, DomainError, SeedError
 from scop.lfsr import Lfsr, check_seeds, word_matrix
@@ -55,6 +56,7 @@ ENTRY_POINTS = {
         a.tolist() for a in derive_seed_pairs(OTHER, s, np.arange(8))
     ],
     "empirical_stats": lambda s: empirical_stats(X, D, 16, 8, s, OTHER).mean.tolist(),
+    "trial_sums": lambda s: trial_sums(X, D, 16, [[s], [OTHER]]).tolist(),
     "TrainingConfig.seed_sc": _train,
 }
 BAD_SEEDS = [0, 0x10000, -1, 1.5, 2**70]
