@@ -532,12 +532,18 @@ _BROADCAST_CASES = {
 }
 
 
+@pytest.mark.parametrize("dtype", [None, np.float32, np.float64], ids=str)
 @pytest.mark.parametrize("case", _BROADCAST_CASES)
-def test_broadcast_rows_match_contiguous_copies_in_every_layout(case):
-    """Entries, bits and draws of broadcast rows are a copy's, one side or both broadcast."""
+def test_broadcast_rows_match_contiguous_copies_in_every_layout(case, dtype):
+    """Entries, bits and draws of broadcast rows are a copy's, one side or both broadcast.
+
+    The broadcast rows are the case's float16 vectors (dtype None) or the same
+    values held in a wider float dtype, which the engine casts.
+    """
     x, d, jobs, seq_len, lr = _BROADCAST_CASES[case]
     sx, sd = derive_seed_pairs(0xACE1, 0x2C9F, np.arange(jobs))
-    views = (np.broadcast_to(x, (jobs, x.size)), np.broadcast_to(d, (jobs, d.size)))
+    wide_x, wide_d = (x, d) if dtype is None else (x.astype(dtype), d.astype(dtype))
+    views = (np.broadcast_to(wide_x, (jobs, x.size)), np.broadcast_to(wide_d, (jobs, d.size)))
     copies = (np.tile(x, (jobs, 1)), np.tile(d, (jobs, 1)))
     want, want_draws = outer_product_many(*copies, seq_len, sx, sd, lr)
     assert want_draws == (2 * seq_len * jobs if x.any() and d.any() else 0)
